@@ -1,10 +1,11 @@
 // Shared declarations of the loopback serving benchmark.
 //
 // The benchmark drives an in-process BlowfishServer (one reactor thread)
-// in front of an EngineHost (two pool workers) from one load-generator
-// thread over loopback TCP, and reaches every layer only through the
-// library's public headers. METRICS.md in this directory defines every
-// metric it prints.
+// in front of an EngineHost (two pool workers) over loopback TCP: one
+// load-generator thread draws and dispatches the batches, and each
+// connection is driven by its own thread. It reaches every layer only
+// through the library's public headers. METRICS.md in this directory
+// defines every metric it prints.
 
 #ifndef PERFBENCH_BENCH_H_
 #define PERFBENCH_BENCH_H_
@@ -93,16 +94,14 @@ struct Workload {
   /// Batches in flight over all connections; each completion releases
   /// the next submission.
   size_t in_flight = 0;
-  /// A finished batch's replacement goes to the same tenant (fixed
-  /// per-connection depth) instead of a fresh pick.
-  bool sticky_tenant = false;
   bool audit = false;
   std::vector<TenantSpec> tenants;
   /// One batch per tenant covering every kind and sensitivity shape the
   /// workload sends to it.
   std::vector<BatchSpec> warmup;
   /// Draws the next batch. `hint` is the tenant whose batch just
-  /// finished (used by sticky workloads); rng is the workload's stream.
+  /// finished; a workload may send the replacement there to keep a fixed
+  /// depth per connection. rng is the workload's stream.
   BatchSpec (*next)(const Workload& w, blowfish::Random& rng, size_t hint) =
       nullptr;
 };

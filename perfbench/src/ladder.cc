@@ -5,7 +5,8 @@
 //   1. wire, depth 1        SubmitPipelined + AwaitBatch, nothing else in flight
 //   2. host                 EngineHost::ServeBatch
 //   3. engine               ReleaseEngine::ServeBatch via EngineHost::engine()
-//   4. mechanism            QueryOp::Execute per query, resolved sensitivity
+//   4. mechanism            QueryOp::Execute per query, resolved sensitivity,
+//                           then the query alone through ReleaseEngine::ServeBatch
 //   5. codec                EncodeResultPayload + EncodeFrame, and
 //                           FrameDecoder + ParseWireMessage + ParseResultPayload
 //   6. randomness           Random::Fork(id), Random::LaplaceVector(|T|, b)
@@ -130,7 +131,6 @@ void RunLadder(const Workload& w, Deployment* d, uint64_t seed,
     CheckBatch(w, b, served, &scratch, checks);
     if (!wire.ok() || served.size() != requests.size()) continue;
 
-    double exec_sum = 0.0;
     for (size_t q = 0; q < requests.size(); ++q) {
       const QueryRequest& r = requests[q];
       const size_t g = spec.policy_group;
@@ -145,14 +145,21 @@ void RunLadder(const Workload& w, Deployment* d, uint64_t seed,
       auto out = r.op->Execute(ctx, Random(seed).Fork(q));
       const double us = t4.Stop(spans, root, "op_execute");
       if (!out.ok()) checks->Fail("ladder_execute", out.status().ToString());
-      exec_sum += us;
       exec_all.push_back(us);
       exec_by_kind[r.op->KindName()].push_back(us);
+      // The same query alone through the engine: nothing overlaps it, so
+      // what it costs beyond its own Execute is the engine's per-query
+      // admission, accounting and settlement.
+      Timer ts;
+      const std::vector<QueryResponse> alone =
+          engines[b.tenant]->ServeBatch({r});
+      admission.push_back(ts.Stop(spans, root, "engine_serve_single") - us);
+      if (alone.size() != 1 || !alone[0].status.ok()) {
+        checks->Fail("ladder_single", r.op->KindName() + " served alone failed");
+      }
     }
     wire_over.push_back(r1 - r2);
     host_over.push_back(r2 - r3);
-    admission.push_back((r3 - exec_sum) /
-                        static_cast<double>(requests.size()));
 
     for (size_t q = 0; q < wire->size(); ++q) {
       const QueryResponse& r = (*wire)[q];
@@ -170,8 +177,9 @@ void RunLadder(const Workload& w, Deployment* d, uint64_t seed,
         if (msg.ok()) {
           auto parsed = blowfish::ParseResultPayload(*msg);
           decode_us.push_back(td.Stop(spans, root, "decode_result"));
+          std::string why;
           round_trip = parsed.ok() && parsed->first == q &&
-                       parsed->second.values == r.values;
+                       Identical({parsed->second}, {r}, &why);
         }
       }
       codec_round_trip = codec_round_trip && round_trip;

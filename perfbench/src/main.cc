@@ -2,7 +2,7 @@
 //
 //   loopback_bench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //
-// Untraced (--trace 0): builds the deployment five times and reports the
+// Untraced (--trace 0): builds the deployment seven times and reports the
 // median set-up time, then measures one window of --seconds and reports
 // the end-to-end metrics. Traced (--trace 1): one set-up, an untraced
 // window, a traced window of the same length (span recorder on), then the
@@ -11,9 +11,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <deque>
 #include <filesystem>
+#include <fstream>
 #include <map>
+#include <mutex>
+#include <thread>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -33,7 +37,7 @@ using blowfish::Random;
 /// Session budget of every tenant: a power of two far above anything a
 /// run spends, so nothing is refused and every budget sum stays exact.
 constexpr double kBudget = 1073741824.0;  // 2^30
-constexpr size_t kUntracedSetups = 5;
+constexpr size_t kUntracedSetups = 7;
 /// Batches per p99 estimate: 10 samples lie beyond each block's p99.
 constexpr size_t kMinLatencySamples = 1000;
 
@@ -236,14 +240,22 @@ struct Window {
   double cache_misses = 0.0;
   double scans = 0.0;
   double audit_bytes = 0.0;
+  /// Share of the host's CPU time its hypervisor stole during the window.
+  double host_steal_pct = 0.0;
 };
 
-struct InFlight {
-  BatchSpec batch;
-  uint64_t handle = 0;
-  Clock::time_point submit_begin;
-  Clock::time_point submit_end;
-};
+/// Aggregate CPU time of the host from /proc/stat: (steal, total) ticks.
+std::pair<double, double> HostCpuTicks() {
+  std::ifstream in("/proc/stat");
+  std::string cpu;
+  in >> cpu;
+  double steal = 0.0, total = 0.0, v = 0.0;
+  for (int field = 0; field < 10 && in >> v; ++field) {
+    total += v;
+    if (field == 7) steal = v;
+  }
+  return {steal, total};
+}
 
 double FileBytes(const std::string& path) {
   std::error_code ec;
@@ -251,11 +263,85 @@ double FileBytes(const std::string& path) {
   return ec ? 0.0 : static_cast<double>(size);
 }
 
-/// Drives the workload for `seconds` from the one load-generator thread,
-/// closed loop: the oldest batch in flight is awaited, and its completion
-/// releases the next submission. Batches submitted before the deadline are
-/// drained after it; their latencies count, their queries count toward
-/// throughput only if they completed in the window.
+/// One batch from dispatch to completion. The connection's thread fills
+/// in the submit and await times and the result.
+struct Trip {
+  BatchSpec batch;
+  Clock::time_point dispatched;
+  Clock::time_point submit_begin;
+  Clock::time_point submit_end;
+  Clock::time_point await_begin;
+  Clock::time_point done;
+  uint64_t handle = 0;
+  blowfish::StatusOr<std::vector<blowfish::QueryResponse>> result =
+      blowfish::Status::Internal("not served");
+};
+
+/// The hand-off between the load generator and the connection threads.
+/// A client is single-threaded by design, so each connection's submits
+/// and awaits run on that connection's own thread: a batch is timed when
+/// its own connection completes it, never behind another connection's
+/// batch.
+struct Lanes {
+  std::mutex mu;
+  std::condition_variable work;       // an inbox grew, or stop
+  std::condition_variable completed;  // `done` grew
+  std::vector<std::deque<Trip>> inbox;  // by tenant
+  std::deque<Trip> done;
+  bool stop = false;
+};
+
+/// Body of tenant `c`'s connection thread: ships every dispatched batch
+/// as soon as it can, then awaits its oldest batch in flight (a tenant's
+/// batches complete in order), and hands each finished trip back.
+void DriveConnection(BlowfishClient* client, size_t c, Lanes* lanes) {
+  std::deque<Trip> in_flight;
+  while (true) {
+    std::deque<Trip> fresh;
+    {
+      std::unique_lock<std::mutex> lock(lanes->mu);
+      lanes->work.wait(lock, [&] {
+        return !in_flight.empty() || !lanes->inbox[c].empty() || lanes->stop;
+      });
+      if (in_flight.empty() && lanes->inbox[c].empty()) return;  // stop
+      fresh.swap(lanes->inbox[c]);
+    }
+    for (Trip& t : fresh) {
+      t.submit_begin = Clock::now();
+      auto handle = client->SubmitPipelined(t.batch.text);
+      t.submit_end = Clock::now();
+      if (handle.ok()) {
+        t.handle = *handle;
+        in_flight.push_back(std::move(t));
+      } else {
+        t.await_begin = t.done = t.submit_end;
+        t.result = handle.status();
+        std::lock_guard<std::mutex> lock(lanes->mu);
+        lanes->done.push_back(std::move(t));
+        lanes->completed.notify_one();
+      }
+    }
+    if (in_flight.empty()) continue;
+    Trip t = std::move(in_flight.front());
+    in_flight.pop_front();
+    t.await_begin = Clock::now();
+    t.result = client->AwaitBatch(t.handle);
+    t.done = Clock::now();
+    std::lock_guard<std::mutex> lock(lanes->mu);
+    lanes->done.push_back(std::move(t));
+    lanes->completed.notify_one();
+  }
+}
+
+/// Drives the workload for `seconds`, closed loop. The load-generator
+/// (calling) thread draws every batch and dispatches it to its tenant's
+/// connection thread; each completion releases the next dispatch, to the
+/// tenant the workload picks given the one that just finished. A batch's
+/// latency runs from its dispatch until its AwaitBatch returns, so time
+/// a batch waits for its connection counts against the program. Batches
+/// dispatched before the deadline are drained after it; their latencies
+/// count, their queries count toward throughput only if they completed in
+/// the window.
 Window RunWindow(const Workload& w, Deployment* d, Random* rng,
                  double seconds, const std::string& audit_path,
                  SpanRecorder* spans, Tally* tally, Checks* checks) {
@@ -263,23 +349,22 @@ Window RunWindow(const Workload& w, Deployment* d, Random* rng,
   win.seconds = seconds;
   const StatsSnapshot before = FetchStats(d->clients[0].get());
   const double audit_before = FileBytes(audit_path);
-  std::deque<InFlight> fifo;
+  const auto cpu_before = HostCpuTicks();
 
-  auto submit = [&](BatchSpec batch) {
-    InFlight f;
-    f.submit_begin = Clock::now();
-    auto handle = d->clients[batch.tenant]->SubmitPipelined(batch.text);
-    f.submit_end = Clock::now();
-    win.attempted += batch.queries.size();
-    if (!handle.ok()) {
-      win.failed += batch.queries.size();
-      checks->Fail("responses_ok", "submit: " + handle.status().ToString());
-      return;
-    }
-    f.batch = std::move(batch);
-    f.handle = *handle;
-    win.submit_us.push_back(UsBetween(f.submit_begin, f.submit_end));
-    fifo.push_back(std::move(f));
+  Lanes lanes;
+  lanes.inbox.resize(w.tenants.size());
+  std::vector<std::thread> threads;
+  for (size_t c = 0; c < w.tenants.size(); ++c) {
+    threads.emplace_back(DriveConnection, d->clients[c].get(), c, &lanes);
+  }
+  auto dispatch = [&](BatchSpec batch) {
+    Trip t;
+    t.batch = std::move(batch);
+    win.attempted += t.batch.queries.size();
+    std::lock_guard<std::mutex> lock(lanes.mu);
+    t.dispatched = Clock::now();
+    lanes.inbox[t.batch.tenant].push_back(std::move(t));
+    lanes.work.notify_all();
   };
 
   const Clock::time_point start = Clock::now();
@@ -287,29 +372,41 @@ Window RunWindow(const Workload& w, Deployment* d, Random* rng,
       start + std::chrono::duration_cast<Clock::duration>(
                   std::chrono::duration<double>(seconds));
   for (size_t i = 0; i < w.in_flight; ++i) {
-    submit(w.next(w, *rng, i % w.tenants.size()));
+    dispatch(w.next(w, *rng, i % w.tenants.size()));
   }
-  while (!fifo.empty()) {
-    InFlight f = std::move(fifo.front());
-    fifo.pop_front();
-    const Clock::time_point await_begin = Clock::now();
-    auto result = d->clients[f.batch.tenant]->AwaitBatch(f.handle);
-    const Clock::time_point done = Clock::now();
+  size_t outstanding = w.in_flight;
+  while (outstanding > 0) {
+    Trip t;
+    {
+      std::unique_lock<std::mutex> lock(lanes.mu);
+      lanes.completed.wait(lock, [&] { return !lanes.done.empty(); });
+      t = std::move(lanes.done.front());
+      lanes.done.pop_front();
+    }
+    --outstanding;
     ++win.batches;
-    win.latency_ms.push_back(UsBetween(f.submit_begin, done) / 1e3);
-    const size_t ok = CheckBatch(w, f.batch, result, tally, checks);
-    win.failed += f.batch.queries.size() - ok;
+    win.latency_ms.push_back(UsBetween(t.dispatched, t.done) / 1e3);
+    win.submit_us.push_back(UsBetween(t.submit_begin, t.submit_end));
+    const size_t ok = CheckBatch(w, t.batch, t.result, tally, checks);
+    win.failed += t.batch.queries.size() - ok;
     if (spans != nullptr) {
       const uint64_t root = spans->NewId();
-      spans->Record(0, root, "client_submit", f.submit_begin, f.submit_end);
-      spans->Record(0, root, "client_await", await_begin, done);
-      spans->Record(root, 0, "batch", f.submit_begin, done);
+      spans->Record(0, root, "client_submit", t.submit_begin, t.submit_end);
+      spans->Record(0, root, "client_await", t.await_begin, t.done);
+      spans->Record(root, 0, "batch", t.dispatched, t.done);
     }
-    if (done <= deadline) {
+    if (t.done <= deadline) {
       win.ok_in_window += ok;
-      submit(w.next(w, *rng, w.sticky_tenant ? f.batch.tenant : 0));
+      dispatch(w.next(w, *rng, t.batch.tenant));
+      ++outstanding;
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(lanes.mu);
+    lanes.stop = true;
+    lanes.work.notify_all();
+  }
+  for (std::thread& t : threads) t.join();
 
   const StatsSnapshot after = FetchStats(d->clients[0].get());
   auto delta = [&](const char* name) {
@@ -321,6 +418,9 @@ Window RunWindow(const Workload& w, Deployment* d, Random* rng,
   win.cache_misses = delta("sensitivity_cache_misses_total");
   win.scans = delta("engine_scans_total");
   win.audit_bytes = FileBytes(audit_path) - audit_before;
+  const auto cpu_after = HostCpuTicks();
+  win.host_steal_pct = 100.0 * (cpu_after.first - cpu_before.first) /
+                       std::max(1.0, cpu_after.second - cpu_before.second);
   const double served = static_cast<double>(win.attempted - win.failed);
   if (delta("budget_charges_total") != served) {
     checks->Fail("stats_charges",
@@ -518,6 +618,7 @@ int Run(const Args& args) {
   // End-to-end metrics of the untraced window.
   const double qps = static_cast<double>(win.ok_in_window) / win.seconds;
   results.Add("throughput_qps", qps, "queries/s");
+  PrintMetric("host_steal_pct", win.host_steal_pct, "%");
   results.Add("latency_p50_ms", Percentile(win.latency_ms, 0.5), "ms");
   results.Add("latency_p99_ms", BlockP99(win.latency_ms), "ms");
   PrintMetric("latency_p99_window_ms", Percentile(win.latency_ms, 0.99), "ms");

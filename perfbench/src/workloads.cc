@@ -1,10 +1,8 @@
-// The three named workloads. Everything random — tuples, tenant seeds,
+// The named workloads. Everything random — tuples, tenant seeds,
 // popularity picks, rectangles, ranges, epsilons — derives from the run's
 // --seed; the policies' structure is fixed per workload so that set-up cost
-// (cold sensitivity bounds) does not vary with the seed. All three run
-// closed loop, and interactive_audit's batches carry 4 queries: on a VM
-// with host steal, sub-millisecond open-loop and single-query latencies
-// measured the host's preemptions, not the program (see METRICS.md).
+// (cold sensitivity bounds) does not vary with the seed. Both run closed
+// loop.
 //
 //   analyst_mix        closed loop, 8 batches in flight over 4 tenants picked
 //                      by Zipf(1.0) popularity; 8-query batches mixing
@@ -16,13 +14,6 @@
 //                      per tenant, audit log on. Whole-tree noising
 //                      dominates serving; the data layer dominates set-up
 //                      and memory.
-//   interactive_audit  closed loop, 8 batches of 4 scalar queries in flight
-//                      over 4 tenants with the audit log on. Per-batch and
-//                      per-query fixed cost dominate serving; two
-//                      pinned-constraint tenants' cold chain bounds
-//                      dominate set-up. Runnable, but not in
-//                      BENCHMARK.json: its spreads exceed the bounds on a VM
-//                      with host steal (see METRICS.md).
 
 #include <algorithm>
 #include <memory>
@@ -36,13 +27,9 @@ namespace perfbench {
 namespace {
 
 using blowfish::Attribute;
-using blowfish::ConstraintSet;
-using blowfish::CountQuery;
 using blowfish::Domain;
-using blowfish::PartitionGraph;
 using blowfish::Policy;
 using blowfish::Random;
-using blowfish::SecretGraph;
 using blowfish::StatusOr;
 using blowfish::ValueIndex;
 
@@ -266,9 +253,7 @@ Workload SpatialQuadtree(uint64_t seed) {
   Workload w;
   w.name = "spatial_quadtree";
   w.in_flight = 4;
-  w.sticky_tenant = true;
-  // The audit log rides here too: BENCHMARK.json runs this workload and
-  // analyst_mix only, and the audit layer must be measured by one of them.
+  // The audit log rides here, so the audit layer is measured.
   w.audit = true;
   w.next = SpatialNext;
   Random data(Random(seed).Fork(1));
@@ -296,118 +281,6 @@ Workload SpatialQuadtree(uint64_t seed) {
   return w;
 }
 
-// ---- interactive_audit ------------------------------------------------------
-
-constexpr uint64_t kAuditLineDomain = 2048;
-constexpr uint64_t kPinnedDomain = 1024;
-constexpr size_t kAuditRows = 1u << 18;
-/// Scalar queries per batch (see the header comment).
-constexpr size_t kAuditBatchQueries = 4;
-const std::vector<std::vector<uint64_t>> kPinnedCells = {
-    {3}, {10, 11}, {40}, {62, 63}};
-
-QuerySpec AuditQuery(const TenantSpec& t, int which, Random& rng) {
-  const uint64_t size = t.policy.domain().size();
-  const bool pinned = !t.cell_of.empty();
-  switch (which) {
-    case 0:
-      return RangeLike("range", size, rng);
-    case 1:
-      return Query("mean", Eps(rng), 1);
-    case 2:
-      return RangeLike("wavelet_range", size, rng);
-    default:
-      if (!pinned) return RangeLike("hier_range", size, rng);
-      return CellHistogram(
-          t,
-          kPinnedCells[static_cast<size_t>(rng.UniformInt(
-              0, static_cast<int64_t>(kPinnedCells.size()) - 1))],
-          rng);
-  }
-}
-
-BatchSpec AuditNext(const Workload& w, Random& rng, size_t /*hint*/) {
-  const size_t tenant = static_cast<size_t>(
-      rng.UniformInt(0, static_cast<int64_t>(w.tenants.size()) - 1));
-  std::vector<QuerySpec> qs;
-  for (size_t i = 0; i < kAuditBatchQueries; ++i) {
-    qs.push_back(AuditQuery(w.tenants[tenant],
-                            static_cast<int>(rng.UniformInt(0, 3)), rng));
-  }
-  return Batch(tenant, std::move(qs));
-}
-
-Policy PinnedPolicy(const std::shared_ptr<const Domain>& domain,
-                    const std::vector<ValueIndex>& tuples) {
-  // Two pinned interval counts over a 64-cell partition. The intervals
-  // are fixed (not seeded): the chain-bound cost they induce is what
-  // set-up measures, and it must not move with the seed. Their ends fall
-  // inside cells, so moves within a cell can cross them and every shape
-  // pays the full chain-bound analysis.
-  auto part = Must(PartitionGraph::UniformGrid(domain, {64}), "partition");
-  ConstraintSet cs;
-  const std::pair<uint64_t, uint64_t> intervals[] = {{100, 300}, {500, 900}};
-  for (size_t i = 0; i < 2; ++i) {
-    const auto [lo, hi] = intervals[i];
-    uint64_t answer = 0;
-    for (ValueIndex v : tuples) answer += (v >= lo && v <= hi) ? 1 : 0;
-    cs.AddWithAnswer(
-        CountQuery("interval" + std::to_string(i),
-                   [lo = lo, hi = hi](ValueIndex x) {
-                     return x >= lo && x <= hi;
-                   }),
-        answer);
-  }
-  return Must(Policy::Create(domain,
-                             std::shared_ptr<const SecretGraph>(part.release()),
-                             std::move(cs)),
-              "pinned policy");
-}
-
-Workload InteractiveAudit(uint64_t seed) {
-  Workload w;
-  w.name = "interactive_audit";
-  w.in_flight = 8;
-  w.audit = true;
-  w.next = AuditNext;
-  Random data(Random(seed).Fork(1));
-  auto line_domain = LineDomain(kAuditLineDomain);
-  Policy line = Must(Policy::Line(line_domain), "line policy");
-  for (size_t i = 0; i < 2; ++i) {
-    w.tenants.push_back(MakeTenant(
-        "line2048", i == 0 ? "a" : "b", line,
-        LineTuples(kAuditLineDomain, kAuditRows, data),
-        blowfish::SplitMix64(seed ^ (0x300 + i)), 0));
-  }
-  auto pinned_domain = LineDomain(kPinnedDomain);
-  const std::vector<uint64_t> cell_of = UniformCells(*pinned_domain, {64});
-  for (size_t i = 0; i < 2; ++i) {
-    std::vector<ValueIndex> tuples =
-        LineTuples(kPinnedDomain, kAuditRows, data);
-    Policy pinned = PinnedPolicy(pinned_domain, tuples);
-    w.tenants.push_back(MakeTenant("pinned1024", i == 0 ? "a" : "b",
-                                   std::move(pinned), std::move(tuples),
-                                   blowfish::SplitMix64(seed ^ (0x310 + i)),
-                                   2));
-    w.tenants.back().cell_of = cell_of;
-  }
-  Random rng(Random(seed).Fork(2));
-  for (size_t i = 0; i < w.tenants.size(); ++i) {
-    const TenantSpec& t = w.tenants[i];
-    std::vector<QuerySpec> qs;
-    for (int k = 0; k < 3; ++k) qs.push_back(AuditQuery(t, k, rng));
-    if (t.cell_of.empty()) {
-      qs.push_back(AuditQuery(t, 3, rng));
-    } else {
-      for (const auto& cells : kPinnedCells) {
-        qs.push_back(CellHistogram(t, cells, rng));
-      }
-    }
-    w.warmup.push_back(Batch(i, std::move(qs)));
-  }
-  return w;
-}
-
 }  // namespace
 
 void FinishBatch(BatchSpec* batch) {
@@ -418,10 +291,8 @@ void FinishBatch(BatchSpec* batch) {
 StatusOr<Workload> MakeWorkload(const std::string& name, uint64_t seed) {
   if (name == "analyst_mix") return AnalystMix(seed);
   if (name == "spatial_quadtree") return SpatialQuadtree(seed);
-  if (name == "interactive_audit") return InteractiveAudit(seed);
   return blowfish::Status::InvalidArgument(
-      "unknown workload '" + name +
-      "' (analyst_mix, spatial_quadtree, interactive_audit)");
+      "unknown workload '" + name + "' (analyst_mix, spatial_quadtree)");
 }
 
 }  // namespace perfbench
