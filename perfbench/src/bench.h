@@ -1,11 +1,10 @@
 // Shared declarations of the loopback serving benchmark.
 //
 // The benchmark drives an in-process BlowfishServer (one reactor thread)
-// in front of an EngineHost (two pool workers) over loopback TCP: one
-// load-generator thread draws and dispatches the batches, and each
-// connection is driven by its own thread. It reaches every layer only
-// through the library's public headers. METRICS.md in this directory
-// defines every metric it prints.
+// in front of an EngineHost (two pool workers) over loopback TCP, one
+// thread per client connection, and reaches every layer only through the
+// library's public headers. METRICS.md in this directory defines every
+// metric it prints.
 
 #ifndef PERFBENCH_BENCH_H_
 #define PERFBENCH_BENCH_H_

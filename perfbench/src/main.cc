@@ -277,25 +277,52 @@ struct Trip {
       blowfish::Status::Internal("not served");
 };
 
-/// The hand-off between the load generator and the connection threads.
-/// A client is single-threaded by design, so each connection's submits
-/// and awaits run on that connection's own thread: a batch is timed when
-/// its own connection completes it, never behind another connection's
-/// batch.
+/// State shared by the connection threads and the thread that collects
+/// their results. A client is single-threaded by design, so each
+/// connection's submits and awaits run on that connection's own thread: a
+/// batch is timed when its own connection completes it, never behind
+/// another connection's batch.
 struct Lanes {
+  Lanes(const Workload& w, Random* rng, Clock::time_point deadline)
+      : w(w), rng(rng), deadline(deadline), inbox(w.tenants.size()) {}
+
+  /// Draws the batch that replaces one finished on `hint` and queues it
+  /// for its tenant's connection. Caller holds `mu`.
+  void Dispatch(size_t hint) {
+    Trip t;
+    t.batch = w.next(w, *rng, hint);
+    t.dispatched = Clock::now();
+    inbox[t.batch.tenant].push_back(std::move(t));
+    ++outstanding;
+    work.notify_all();
+  }
+
+  const Workload& w;
+  Random* const rng;  // the workload's stream; guarded by mu
+  const Clock::time_point deadline;
   std::mutex mu;
   std::condition_variable work;       // an inbox grew, or stop
   std::condition_variable completed;  // `done` grew
   std::vector<std::deque<Trip>> inbox;  // by tenant
   std::deque<Trip> done;
+  /// Batches dispatched and not yet taken from `done`.
+  size_t outstanding = 0;
   bool stop = false;
 };
 
-/// Body of tenant `c`'s connection thread: ships every dispatched batch
-/// as soon as it can, then awaits its oldest batch in flight (a tenant's
-/// batches complete in order), and hands each finished trip back.
+/// Body of tenant `c`'s connection thread: ships every batch queued for
+/// it, then awaits its oldest batch in flight (a tenant's batches
+/// complete in order). Before the deadline each completion draws its
+/// replacement right here, so a replacement for this same connection
+/// ships before the next await and the tenant's pipeline stays full.
 void DriveConnection(BlowfishClient* client, size_t c, Lanes* lanes) {
   std::deque<Trip> in_flight;
+  auto finish = [&](Trip t) {
+    std::lock_guard<std::mutex> lock(lanes->mu);
+    if (t.done <= lanes->deadline) lanes->Dispatch(c);
+    lanes->done.push_back(std::move(t));
+    lanes->completed.notify_one();
+  };
   while (true) {
     std::deque<Trip> fresh;
     {
@@ -316,9 +343,7 @@ void DriveConnection(BlowfishClient* client, size_t c, Lanes* lanes) {
       } else {
         t.await_begin = t.done = t.submit_end;
         t.result = handle.status();
-        std::lock_guard<std::mutex> lock(lanes->mu);
-        lanes->done.push_back(std::move(t));
-        lanes->completed.notify_one();
+        finish(std::move(t));
       }
     }
     if (in_flight.empty()) continue;
@@ -327,21 +352,20 @@ void DriveConnection(BlowfishClient* client, size_t c, Lanes* lanes) {
     t.await_begin = Clock::now();
     t.result = client->AwaitBatch(t.handle);
     t.done = Clock::now();
-    std::lock_guard<std::mutex> lock(lanes->mu);
-    lanes->done.push_back(std::move(t));
-    lanes->completed.notify_one();
+    finish(std::move(t));
   }
 }
 
-/// Drives the workload for `seconds`, closed loop. The load-generator
-/// (calling) thread draws every batch and dispatches it to its tenant's
-/// connection thread; each completion releases the next dispatch, to the
-/// tenant the workload picks given the one that just finished. A batch's
-/// latency runs from its dispatch until its AwaitBatch returns, so time
-/// a batch waits for its connection counts against the program. Batches
-/// dispatched before the deadline are drained after it; their latencies
-/// count, their queries count toward throughput only if they completed in
-/// the window.
+/// Drives the workload for `seconds`, closed loop: `in_flight` batches
+/// are dispatched at the start, and each completion before the deadline
+/// dispatches one replacement, to the tenant the workload picks given the
+/// one that just finished. The calling thread collects the completions:
+/// it records latencies and spans and checks every response. A batch's
+/// latency runs from its dispatch until its AwaitBatch returns, so time a
+/// batch waits for its connection thread counts against the program.
+/// Batches dispatched before the deadline are drained after it; their
+/// latencies count, their queries count toward throughput only if they
+/// completed in the window.
 Window RunWindow(const Workload& w, Deployment* d, Random* rng,
                  double seconds, const std::string& audit_path,
                  SpanRecorder* spans, Tally* tally, Checks* checks) {
@@ -351,54 +375,42 @@ Window RunWindow(const Workload& w, Deployment* d, Random* rng,
   const double audit_before = FileBytes(audit_path);
   const auto cpu_before = HostCpuTicks();
 
-  Lanes lanes;
-  lanes.inbox.resize(w.tenants.size());
+  const Clock::time_point start = Clock::now();
+  Lanes lanes(w, rng,
+              start + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(seconds)));
+  {
+    std::lock_guard<std::mutex> lock(lanes.mu);
+    for (size_t i = 0; i < w.in_flight; ++i) {
+      lanes.Dispatch(i % w.tenants.size());
+    }
+  }
   std::vector<std::thread> threads;
   for (size_t c = 0; c < w.tenants.size(); ++c) {
     threads.emplace_back(DriveConnection, d->clients[c].get(), c, &lanes);
   }
-  auto dispatch = [&](BatchSpec batch) {
-    Trip t;
-    t.batch = std::move(batch);
-    win.attempted += t.batch.queries.size();
-    std::lock_guard<std::mutex> lock(lanes.mu);
-    t.dispatched = Clock::now();
-    lanes.inbox[t.batch.tenant].push_back(std::move(t));
-    lanes.work.notify_all();
-  };
-
-  const Clock::time_point start = Clock::now();
-  const Clock::time_point deadline =
-      start + std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(seconds));
-  for (size_t i = 0; i < w.in_flight; ++i) {
-    dispatch(w.next(w, *rng, i % w.tenants.size()));
-  }
-  size_t outstanding = w.in_flight;
-  while (outstanding > 0) {
+  bool draining = true;
+  while (draining) {
     Trip t;
     {
       std::unique_lock<std::mutex> lock(lanes.mu);
       lanes.completed.wait(lock, [&] { return !lanes.done.empty(); });
       t = std::move(lanes.done.front());
       lanes.done.pop_front();
+      draining = --lanes.outstanding > 0;
     }
-    --outstanding;
     ++win.batches;
+    win.attempted += t.batch.queries.size();
     win.latency_ms.push_back(UsBetween(t.dispatched, t.done) / 1e3);
     win.submit_us.push_back(UsBetween(t.submit_begin, t.submit_end));
     const size_t ok = CheckBatch(w, t.batch, t.result, tally, checks);
     win.failed += t.batch.queries.size() - ok;
+    if (t.done <= lanes.deadline) win.ok_in_window += ok;
     if (spans != nullptr) {
       const uint64_t root = spans->NewId();
       spans->Record(0, root, "client_submit", t.submit_begin, t.submit_end);
       spans->Record(0, root, "client_await", t.await_begin, t.done);
       spans->Record(root, 0, "batch", t.dispatched, t.done);
-    }
-    if (t.done <= deadline) {
-      win.ok_in_window += ok;
-      dispatch(w.next(w, *rng, t.batch.tenant));
-      ++outstanding;
     }
   }
   {
