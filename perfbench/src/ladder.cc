@@ -2,13 +2,16 @@
 // point on the same batch, one span per call under a per-batch root, so
 // a layer's self time is the difference between adjacent rungs:
 //
-//   1. wire, depth 1        SubmitPipelined + AwaitBatch, nothing else in flight
+//   1. wire, depth 1        SubmitPipelined + AwaitBatch, nothing else
+//                           in flight
 //   2. host                 EngineHost::ServeBatch
 //   3. engine               ReleaseEngine::ServeBatch via EngineHost::engine()
-//   4. mechanism            QueryOp::Execute per query, resolved sensitivity,
-//                           then the query alone through ReleaseEngine::ServeBatch
+//   4. mechanism            QueryOp::Execute per query, resolved
+//                           sensitivity, then the query alone through
+//                           ReleaseEngine::ServeBatch
 //   5. codec                EncodeResultPayload + EncodeFrame, and
-//                           FrameDecoder + ParseWireMessage + ParseResultPayload
+//                           FrameDecoder + ParseWireMessage +
+//                           ParseResultPayload
 //   6. randomness           Random::Fork(id), Random::LaplaceVector(|T|, b)
 //
 // Cold sensitivities (QueryOp::ComputeSensitivity, no cache), complete
@@ -86,9 +89,10 @@ void RunLadder(const Workload& w, Deployment* d, uint64_t seed,
       const std::string shape = Must(r.op->SensitivityShape(), "shape");
       if (cold_value.count({g, shape}) != 0) continue;
       Timer timer;
-      const double s = Must(r.op->ComputeSensitivity(
-                                engines[g]->policy(), blowfish::SensitivityEnv{}),
-                            "cold sensitivity");
+      const double s =
+          Must(r.op->ComputeSensitivity(engines[g]->policy(),
+                                        blowfish::SensitivityEnv{}),
+               "cold sensitivity");
       const double ms =
           timer.Stop(spans, cold_root, "compute_sensitivity_cold") / 1e3;
       cold_value[{g, shape}] = s;
@@ -117,10 +121,12 @@ void RunLadder(const Workload& w, Deployment* d, uint64_t seed,
 
     Timer t1;
     auto& client = d->clients[b.tenant];
-    auto wire = client->AwaitBatch(Must(client->SubmitPipelined(b.text), "submit"));
+    auto wire =
+        client->AwaitBatch(Must(client->SubmitPipelined(b.text), "submit"));
     const double r1 = t1.Stop(spans, root, "wire_depth1");
     Timer t2;
-    auto hosted = d->host->ServeBatch(spec.policy_id, spec.dataset_id, requests);
+    auto hosted =
+        d->host->ServeBatch(spec.policy_id, spec.dataset_id, requests);
     const double r2 = t2.Stop(spans, root, "host_serve_batch");
     Timer t3;
     const std::vector<QueryResponse> served =
@@ -155,7 +161,8 @@ void RunLadder(const Workload& w, Deployment* d, uint64_t seed,
           engines[b.tenant]->ServeBatch({r});
       admission.push_back(ts.Stop(spans, root, "engine_serve_single") - us);
       if (alone.size() != 1 || !alone[0].status.ok()) {
-        checks->Fail("ladder_single", r.op->KindName() + " served alone failed");
+        checks->Fail("ladder_single",
+                     r.op->KindName() + " served alone failed");
       }
     }
     wire_over.push_back(r1 - r2);

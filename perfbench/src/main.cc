@@ -569,7 +569,8 @@ void PrintResult(size_t attempted, size_t failed, const Results& results,
       unit = "none";
     }
     char buf[128];
-    std::snprintf(buf, sizeof(buf), "%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
+    std::snprintf(buf, sizeof(buf),
+                  "%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
                   metrics.empty() ? "" : ", ", name, value, unit.c_str());
     metrics += buf;
   };
