@@ -15,12 +15,12 @@
 // util/thread_pool.h exists), and whether an EngineHost batch is
 // bit-identical for any pool size (acceptance: it is).
 //
-// A second section measures the columnar dataset engine: on a 512k-row
-// dataset it serves one 64-query histogram batch per ScanMode — row
-// (every query walks all rows), columnar (every query runs the
-// dictionary-encoded kernel), shared (the batch runs the kernel once) —
-// checks the three transcripts are bit-identical, and gates the shared
-// scan at >= 3x the row-major execute-phase throughput.
+// A second section measures the engine's memoized h(D): on a 512k-row
+// dataset it serves one 64-query histogram batch from a fresh engine
+// (memo: h(D) counted once for the batch) against a bench-local loop
+// that recounts h(D) for every query (recompute), checks the two
+// transcripts are bit-identical, and gates the memo at >= 3x the
+// recompute throughput.
 //
 // A third section times the PR-9 op kinds — quadtree on the 2-attribute
 // scan workload and hier_range on a Line(2048) ordered tenant — and
@@ -30,7 +30,7 @@
 // Alongside the CSV on stdout, the run is written as
 // BENCH_engine_throughput.json (override with --json <path>): cold and
 // warm throughput, a warm-cache sweep over pool sizes {0, 1, 8}, the
-// columnar scan-mode comparison, the quadtree/hier_range section, and
+// memo-vs-recompute comparison, the quadtree/hier_range section, and
 // the pass/fail checks.
 // bench/baselines/ holds a tracked baseline so a perf regression shows
 // up as a diff, not a memory.
@@ -335,16 +335,18 @@ int Run(const std::string& json_path) {
   std::printf("host_determinism_pool_1_vs_4,%s\n",
               host_ok ? "PASS" : "FAIL");
 
-  // --- Columnar scan engine: shared vs per-query vs row-major. -----------
+  // --- h(D) memo: counted once per engine vs once per query. ------------
   // The histogram-family execute phase is scan-bound once sensitivity is
   // cached: every query needs the complete histogram of the data. An
   // unconstrained policy (sensitivity is a cheap closed form, and a
   // shared warm SensitivityCache removes even that) isolates the scan:
-  //   row      — every query walks all n rows (the pre-columnar layout),
-  //   columnar — every query runs the dictionary-encoded column kernel,
-  //   shared   — the batch runs ONE column kernel, every query reuses it.
-  // Same root seed + same admission order -> the three engines' served
-  // bytes must be bit-identical; that is checked, not assumed.
+  //   recompute — a bench-local loop: every query recounts h(D) from the
+  //               rows, then runs the op on stream Fork(i),
+  //   memo      — a fresh engine's FIRST batch: one h(D) count, shared
+  //               by every query (stream ids 0, 1, ... in admission
+  //               order, so the noise matches the recompute loop).
+  // The two transcripts' payloads must be bit-identical; that is
+  // checked, not assumed.
   constexpr size_t kScanRows = 1 << 19;  // 512k rows, domain stays 2048
   constexpr size_t kScanQueries = 64;
   auto scan_policy = [&]() -> StatusOr<Policy> {
@@ -368,72 +370,73 @@ int Run(const std::string& json_path) {
     return 1;
   }
   auto scan_cache = std::make_shared<SensitivityCache>(64);
-  struct ScanPoint {
-    const char* name;
-    ScanMode mode;
-    double qps = 0.0;
-  };
-  std::vector<ScanPoint> scan_points = {
-      {"row", ScanMode::kRowMajor},
-      {"columnar", ScanMode::kPerQueryColumnar},
-      {"shared", ScanMode::kSharedColumnar},
-  };
-  std::vector<std::vector<QueryResponse>> scan_runs;
-  for (ScanPoint& point : scan_points) {
-    ReleaseEngineOptions opts;
-    opts.root_seed = kSeed;
-    opts.default_session_budget = 1e9;
-    opts.shared_cache = scan_cache;
-    opts.scan_mode = point.mode;
-    auto e = ReleaseEngine::Create(*scan_policy, *scan_data, opts);
-    if (!e.ok()) {
-      std::fprintf(stderr, "scan engine: %s\n",
-                   e.status().ToString().c_str());
+  ReleaseEngineOptions memo_opts;
+  memo_opts.root_seed = kSeed;
+  memo_opts.default_session_budget = 1e9;
+  memo_opts.shared_cache = scan_cache;
+  {
+    // Warm the shared sensitivity cache only; the measured engine below
+    // is fresh, so its batch pays its one h(D) count.
+    auto warm_engine =
+        ReleaseEngine::Create(*scan_policy, *scan_data, memo_opts);
+    if (warm_engine.ok()) {
+      (void)(*warm_engine)->ServeBatch(HistogramBatch(1, kEps));
+    }
+  }
+  const std::vector<QueryRequest> memo_batch =
+      HistogramBatch(kScanQueries, kEps);
+  auto memo_sensitivity = memo_batch[0].op->ComputeSensitivity(
+      *scan_policy, SensitivityEnv{});
+  if (!memo_sensitivity.ok()) {
+    std::fprintf(stderr, "memo sensitivity: %s\n",
+                 memo_sensitivity.status().ToString().c_str());
+    return 1;
+  }
+  std::vector<std::vector<double>> recomputed;
+  recomputed.reserve(kScanQueries);
+  const auto recompute_start = Clock::now();
+  for (size_t i = 0; i < memo_batch.size(); ++i) {
+    auto counted = scan_data->CompleteHistogram();
+    if (!counted.ok()) {
+      std::fprintf(stderr, "recompute h(D): %s\n",
+                   counted.status().ToString().c_str());
       return 1;
     }
-    // Warm the shared sensitivity cache only (a fresh engine per mode
-    // keeps the scan measurement itself cold: the measured batch below
-    // is each mode's FIRST batch, so shared mode is charged its one
-    // amortized scan rather than reusing a previous batch's product).
-    if (scan_cache->stats().misses == 0) {
-      ReleaseEngineOptions warm_opts = opts;
-      auto warm_engine =
-          ReleaseEngine::Create(*scan_policy, *scan_data, warm_opts);
-      if (warm_engine.ok()) {
-        (void)(*warm_engine)->ServeBatch(HistogramBatch(1, kEps));
-      }
+    const QueryExecContext ctx{*scan_policy, *scan_data, *counted,
+                               memo_batch[i].epsilon, *memo_sensitivity};
+    auto released = memo_batch[i].op->Execute(ctx, Random(kSeed).Fork(i));
+    if (!released.ok()) {
+      std::fprintf(stderr, "recompute release: %s\n",
+                   released.status().ToString().c_str());
+      return 1;
     }
-    const auto start = Clock::now();
-    auto responses =
-        (*e)->ServeBatch(HistogramBatch(kScanQueries, kEps));
-    const double seconds = SecondsSince(start);
-    for (const QueryResponse& r : responses) {
-      if (!r.status.ok()) {
-        std::fprintf(stderr, "scan release (%s): %s\n", point.name,
-                     r.status.ToString().c_str());
-        return 1;
-      }
-    }
-    point.qps = kScanQueries / seconds;
-    std::printf("scan_qps_%s,%.3f\n", point.name, point.qps);
-    scan_runs.push_back(std::move(responses));
+    recomputed.push_back(std::move(*released));
   }
-  const double scan_row_qps = scan_points[0].qps;
-  const double scan_columnar_qps = scan_points[1].qps;
-  const double scan_shared_qps = scan_points[2].qps;
-  const double columnar_vs_row = scan_columnar_qps / scan_row_qps;
-  const double shared_scan_vs_per_query =
-      scan_shared_qps / scan_columnar_qps;
-  const double shared_vs_row = scan_shared_qps / scan_row_qps;
-  const bool scan_identity = Identical(scan_runs[0], scan_runs[1]) &&
-                             Identical(scan_runs[1], scan_runs[2]);
-  const bool columnar_speedup_ok = shared_vs_row >= 3.0;
-  std::printf("columnar_vs_row,%.2f\n", columnar_vs_row);
-  std::printf("shared_scan_vs_per_query,%.2f\n", shared_scan_vs_per_query);
-  std::printf("shared_vs_row,%.2f\n", shared_vs_row);
-  std::printf("columnar_identity,%s\n", scan_identity ? "PASS" : "FAIL");
-  std::printf("columnar_speedup_ge_3x,%s\n",
-              columnar_speedup_ok ? "PASS" : "FAIL");
+  const double recompute_qps = kScanQueries / SecondsSince(recompute_start);
+  auto memo_engine =
+      ReleaseEngine::Create(*scan_policy, *scan_data, memo_opts);
+  if (!memo_engine.ok()) {
+    std::fprintf(stderr, "memo engine: %s\n",
+                 memo_engine.status().ToString().c_str());
+    return 1;
+  }
+  const auto memo_start = Clock::now();
+  const std::vector<QueryResponse> memo_responses =
+      (*memo_engine)->ServeBatch(memo_batch);
+  const double memo_qps = kScanQueries / SecondsSince(memo_start);
+  bool memo_identity = memo_responses.size() == recomputed.size();
+  for (size_t i = 0; memo_identity && i < memo_responses.size(); ++i) {
+    memo_identity = memo_responses[i].status.ok() &&
+                    memo_responses[i].sensitivity == *memo_sensitivity &&
+                    memo_responses[i].values == recomputed[i];
+  }
+  const double memo_vs_recompute = memo_qps / recompute_qps;
+  const bool memo_speedup_ok = memo_vs_recompute >= 3.0;
+  std::printf("scan_qps_recompute,%.3f\n", recompute_qps);
+  std::printf("scan_qps_memo,%.3f\n", memo_qps);
+  std::printf("memo_vs_recompute,%.2f\n", memo_vs_recompute);
+  std::printf("memo_identity,%s\n", memo_identity ? "PASS" : "FAIL");
+  std::printf("memo_speedup_ge_3x,%s\n", memo_speedup_ok ? "PASS" : "FAIL");
 
   // --- Spatial & ordered hierarchical ops. -------------------------------
   // The two PR-9 op kinds, measured the same way the scan section is:
@@ -571,14 +574,10 @@ int Run(const std::string& json_path) {
                kExecBatches / pool_seconds, kExecBatches / spawn_seconds,
                spawn_seconds / pool_seconds);
   std::fprintf(json,
-               "  \"columnar\": {\"rows\": %zu, \"queries\": %zu, "
-               "\"row_qps\": %.3f, \"columnar_qps\": %.3f, "
-               "\"shared_qps\": %.3f, \"shared_vs_row\": %.2f},\n",
-               kScanRows, kScanQueries, scan_row_qps, scan_columnar_qps,
-               scan_shared_qps, shared_vs_row);
-  std::fprintf(json, "  \"columnar_vs_row\": %.2f,\n", columnar_vs_row);
-  std::fprintf(json, "  \"shared_scan_vs_per_query\": %.2f,\n",
-               shared_scan_vs_per_query);
+               "  \"memo\": {\"rows\": %zu, \"queries\": %zu, "
+               "\"recompute_qps\": %.3f, \"qps\": %.3f},\n",
+               kScanRows, kScanQueries, recompute_qps, memo_qps);
+  std::fprintf(json, "  \"memo_vs_recompute\": %.2f,\n", memo_vs_recompute);
   std::fprintf(json,
                "  \"ops\": {\"queries\": %zu, \"quadtree_qps\": %.3f, "
                "\"hier_range_qps\": %.3f},\n",
@@ -587,23 +586,23 @@ int Run(const std::string& json_path) {
                "  \"checks\": {\"speedup_ge_5x\": %s, "
                "\"determinism_threads_1_vs_4\": %s, "
                "\"host_determinism_pool_1_vs_4\": %s, "
-               "\"columnar_identity\": %s, "
-               "\"columnar_speedup_ge_3x\": %s, "
+               "\"memo_identity\": %s, "
+               "\"memo_speedup_ge_3x\": %s, "
                "\"quadtree_identity\": %s, "
                "\"hier_range_identity\": %s}\n",
                speedup >= 5.0 ? "true" : "false",
                deterministic ? "true" : "false",
                host_ok ? "true" : "false",
-               scan_identity ? "true" : "false",
-               columnar_speedup_ok ? "true" : "false",
+               memo_identity ? "true" : "false",
+               memo_speedup_ok ? "true" : "false",
                quadtree_identity ? "true" : "false",
                hier_range_identity ? "true" : "false");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("# wrote %s\n", json_path.c_str());
 
-  return (speedup >= 5.0 && deterministic && host_ok && scan_identity &&
-          columnar_speedup_ok && quadtree_identity && hier_range_identity)
+  return (speedup >= 5.0 && deterministic && host_ok && memo_identity &&
+          memo_speedup_ok && quadtree_identity && hier_range_identity)
              ? 0
              : 1;
 }

@@ -22,13 +22,13 @@ Checks, in order of how much we trust them on shared hardware:
      are routine, so the gate is sized to catch real regressions (a
      mutex on the hot path, an accidental O(n^2)) while staying quiet
      about scheduler jitter. Tighten with --tolerance on quiet hardware.
-  4. Columnar scan engine — both artifacts must carry the
-     `columnar_identity` and `columnar_speedup_ge_3x` checks (so a stale
-     pre-columnar artifact fails loudly) plus the `columnar_vs_row` and
-     `shared_scan_vs_per_query` ratios, and the fresh shared-scan
-     throughput (`columnar.shared_qps`) is gated against the baseline at
-     the same tolerance as warm_qps. The >= 3x shared-vs-row floor
-     itself is the bench binary's own check, enforced by step 1.
+  4. h(D) memo — both artifacts must carry the `memo_identity` and
+     `memo_speedup_ge_3x` checks (so a stale artifact from before the
+     memo section fails loudly) plus the `memo_vs_recompute` ratio, and
+     the fresh memo throughput (`memo.qps`) is gated against the
+     baseline at the same tolerance as warm_qps. The >= 3x
+     memo-vs-recompute floor itself is the bench binary's own check,
+     enforced by step 1.
   5. Spatial/ordered ops — both artifacts must carry the
      `quadtree_identity` and `hier_range_identity` checks (a stale
      artifact predating those ops fails loudly), and the fresh
@@ -37,9 +37,7 @@ Checks, in order of how much we trust them on shared hardware:
 
 cold_qps is reported but never gated: it measures 3 one-shot queries
 dominated by policy-graph setup, where a single page-cache miss moves
-the number by 2x. columnar_vs_row is reported but not floor-gated: the
-per-query kernel matches the row walk byte-for-byte on a full-joint
-workload, so its ratio hovers around 1.0 and is informational.
+the number by 2x.
 """
 
 import argparse
@@ -75,9 +73,9 @@ def main():
     except (OSError, json.JSONDecodeError) as error:
         fail(f"cannot load artifacts: {error}")
 
-    REQUIRED_CHECKS = ("columnar_identity", "columnar_speedup_ge_3x",
+    REQUIRED_CHECKS = ("memo_identity", "memo_speedup_ge_3x",
                        "quadtree_identity", "hier_range_identity")
-    REQUIRED_RATIOS = ("columnar_vs_row", "shared_scan_vs_per_query")
+    REQUIRED_RATIOS = ("memo_vs_recompute",)
     for name, run in (("fresh", fresh), ("baseline", baseline)):
         checks = run.get("checks", {})
         if not checks:
@@ -105,12 +103,12 @@ def main():
         fail(f"warm_qps missing or non-positive: fresh={fresh_qps} "
              f"baseline={base_qps}")
 
-    fresh_shared = fresh.get("columnar", {}).get("shared_qps")
-    base_shared = baseline.get("columnar", {}).get("shared_qps")
-    if not isinstance(fresh_shared, (int, float)) or not isinstance(
-            base_shared, (int, float)) or base_shared <= 0:
-        fail(f"columnar.shared_qps missing or non-positive: "
-             f"fresh={fresh_shared} baseline={base_shared}")
+    fresh_memo = fresh.get("memo", {}).get("qps")
+    base_memo = baseline.get("memo", {}).get("qps")
+    if not isinstance(fresh_memo, (int, float)) or not isinstance(
+            base_memo, (int, float)) or base_memo <= 0:
+        fail(f"memo.qps missing or non-positive: "
+             f"fresh={fresh_memo} baseline={base_memo}")
 
     op_ratios = {}
     for key in ("quadtree_qps", "hier_range_qps"):
@@ -123,21 +121,19 @@ def main():
         op_ratios[key] = (fresh_ops, base_ops, fresh_ops / base_ops)
 
     ratio = fresh_qps / base_qps
-    shared_ratio = fresh_shared / base_shared
+    memo_ratio = fresh_memo / base_memo
     ops_report = "; ".join(
         f"{key} {f_qps:.0f} vs baseline {b_qps:.0f} ({r:.2f}x, same gate)"
         for key, (f_qps, b_qps, r) in op_ratios.items())
     report = (f"warm_qps {fresh_qps:.0f} vs baseline {base_qps:.0f} "
               f"({ratio:.2f}x, gate {args.tolerance:.2f}x); "
-              f"shared scan {fresh_shared:.0f} vs baseline "
-              f"{base_shared:.0f} ({shared_ratio:.2f}x, same gate); "
+              f"memo {fresh_memo:.0f} vs baseline "
+              f"{base_memo:.0f} ({memo_ratio:.2f}x, same gate); "
               f"{ops_report}; "
-              f"columnar_vs_row {fresh.get('columnar_vs_row')}, "
-              f"shared_scan_vs_per_query "
-              f"{fresh.get('shared_scan_vs_per_query')}; "
+              f"memo_vs_recompute {fresh.get('memo_vs_recompute')}; "
               f"cold_qps {fresh.get('cold_qps')} "
               f"(reported, not gated)")
-    if (ratio < args.tolerance or shared_ratio < args.tolerance
+    if (ratio < args.tolerance or memo_ratio < args.tolerance
             or any(r < args.tolerance for _, _, r in op_ratios.values())):
         fail(report)
     print(f"BENCH GATE OK: {report}")

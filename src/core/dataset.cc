@@ -1,11 +1,7 @@
 #include "core/dataset.h"
 
-#include <atomic>
 #include <string>
 #include <utility>
-
-#include "data/columnar.h"
-#include "data/scan.h"
 
 namespace blowfish {
 
@@ -44,45 +40,11 @@ StatusOr<Histogram> Dataset::CompleteHistogram() const {
   return h;
 }
 
-Histogram Dataset::PartitionedHistogram(
-    const std::function<uint64_t(ValueIndex)>& bucket_of,
-    size_t num_buckets) const {
-  // Hot-loop fix: one indirect bucket_of call per *domain value* to fill
-  // a lookup table, then a branch-free `h.Add(lut[t])` per tuple —
-  // instead of one std::function dispatch per tuple. Domains too large
-  // to materialize the table keep the per-tuple loop.
-  StatusOr<std::vector<uint32_t>> lut =
-      BuildBucketLut(*domain_, bucket_of, num_buckets);
-  Histogram h(num_buckets);
-  if (lut.ok()) {
-    const std::vector<uint32_t>& table = lut.value();
-    for (ValueIndex t : tuples_) h.Add(table[t]);
-    return h;
-  }
-  for (ValueIndex t : tuples_) h.Add(bucket_of(t));
-  return h;
-}
-
 std::vector<std::vector<double>> Dataset::Points() const {
   std::vector<std::vector<double>> points;
   points.reserve(tuples_.size());
   for (ValueIndex t : tuples_) points.push_back(domain_->Point(t));
   return points;
-}
-
-StatusOr<std::shared_ptr<const ColumnarTable>> Dataset::columns() const {
-  std::shared_ptr<const ColumnarTable> existing =
-      std::atomic_load_explicit(&columnar_, std::memory_order_acquire);
-  if (existing != nullptr) return existing;
-  BLOWFISH_ASSIGN_OR_RETURN(ColumnarTable table,
-                            ColumnarTable::FromRows(domain_, tuples_));
-  std::shared_ptr<const ColumnarTable> built =
-      std::make_shared<const ColumnarTable>(std::move(table));
-  std::shared_ptr<const ColumnarTable> expected;
-  if (std::atomic_compare_exchange_strong(&columnar_, &expected, built)) {
-    return built;
-  }
-  return expected;  // a concurrent builder won the race; share its view
 }
 
 }  // namespace blowfish

@@ -9,7 +9,6 @@
 #ifndef BLOWFISH_CORE_DATASET_H_
 #define BLOWFISH_CORE_DATASET_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -18,8 +17,6 @@
 #include "util/status.h"
 
 namespace blowfish {
-
-class ColumnarTable;
 
 /// An immutable table of tuples over a shared domain.
 class Dataset {
@@ -42,24 +39,13 @@ class Dataset {
   StatusOr<Dataset> WithTuple(size_t id, ValueIndex value) const;
 
   /// The complete histogram h(D): one bucket per domain value. Only valid
-  /// for domains small enough to materialize.
+  /// for domains small enough to materialize. Counts from scratch on
+  /// every call; ReleaseEngine memoizes the result per engine.
   StatusOr<Histogram> CompleteHistogram() const;
-
-  /// Histogram h_P(D) over an arbitrary bucketing of the domain.
-  Histogram PartitionedHistogram(
-      const std::function<uint64_t(ValueIndex)>& bucket_of,
-      size_t num_buckets) const;
 
   /// Tuples embedded as real points (coordinate * scale per attribute),
   /// the representation k-means clusters.
   std::vector<std::vector<double>> Points() const;
-
-  /// The dictionary-encoded columnar view (data/columnar.h) — the
-  /// representation the engine's scan kernels run on. Built lazily on
-  /// first use and cached (the dataset is immutable, so the view never
-  /// goes stale); concurrent callers race benignly, one build wins.
-  /// Copies made after the build share the view; WithTuple starts fresh.
-  StatusOr<std::shared_ptr<const ColumnarTable>> columns() const;
 
  private:
   Dataset(std::shared_ptr<const Domain> domain,
@@ -68,9 +54,6 @@ class Dataset {
 
   std::shared_ptr<const Domain> domain_;
   std::vector<ValueIndex> tuples_;
-  /// Lazily-built columnar view; accessed only via the std::atomic_*
-  /// shared_ptr free functions so Dataset stays copyable.
-  mutable std::shared_ptr<const ColumnarTable> columnar_;
 };
 
 }  // namespace blowfish

@@ -4,8 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
-
-#include "data/columnar.h"
+#include <unordered_set>
 
 namespace blowfish {
 
@@ -26,6 +25,34 @@ StatusOr<double> ParseCell(const std::string& cell) {
     return v;
   } catch (...) {
     return Status::InvalidArgument("non-numeric cell: '" + cell + "'");
+  }
+}
+
+/// Records one load into `metrics` (nullptr = the process-wide registry,
+/// which is what the STATS wire verb and the daemon's SIGUSR1 Prometheus
+/// dump serve):
+///
+///   data_load_seconds                   cumulative seconds spent loading
+///   data_rows                           cumulative rows loaded (gauge)
+///   data_column_cardinality{attr=NAME}  observed distinct levels of the
+///                                       most recently loaded column with
+///                                       that attribute name
+///
+/// Loads happen sequentially at startup (config parsing / tenant
+/// construction), so the set-to-latest cardinality semantics are stable.
+void RecordDatasetLoadMetrics(
+    const Domain& domain, size_t rows,
+    const std::vector<std::unordered_set<uint64_t>>& levels,
+    double load_seconds, obs::MetricsRegistry* metrics) {
+  obs::MetricsRegistry* registry =
+      metrics != nullptr ? metrics : obs::MetricsRegistry::Global();
+  registry->GetDoubleCounter("data_load_seconds")->Add(load_seconds);
+  registry->GetGauge("data_rows")->Add(static_cast<int64_t>(rows));
+  for (size_t j = 0; j < levels.size(); ++j) {
+    obs::Gauge* gauge = registry->GetGauge(
+        "data_column_cardinality{attr=" + domain.attribute(j).name + "}");
+    // Set-to-latest: the delta write is not racing another loader.
+    gauge->Add(static_cast<int64_t>(levels[j].size()) - gauge->Value());
   }
 }
 
@@ -52,6 +79,9 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
   auto domain = std::make_shared<const Domain>(std::move(domain_v));
 
   std::vector<ValueIndex> tuples;
+  // Distinct observed levels per attribute, for data_column_cardinality.
+  std::vector<std::unordered_set<uint64_t>> levels(
+      options.record_load_metrics ? columns.size() : 0);
   std::istringstream in(text);
   std::string line;
   bool first = true;
@@ -96,24 +126,18 @@ StatusOr<Dataset> LoadCsv(const std::string& text,
       coords[i] = static_cast<uint64_t>(level);
     }
     if (bad) continue;
+    for (size_t i = 0; i < levels.size(); ++i) levels[i].insert(coords[i]);
     tuples.push_back(domain->Encode(coords));
   }
   BLOWFISH_ASSIGN_OR_RETURN(Dataset data,
                             Dataset::Create(domain, std::move(tuples)));
   if (options.record_load_metrics) {
-    // columns() both builds the observability payload (per-attribute
-    // cardinalities) and warms the dataset's cached columnar encoding,
-    // moving that cost from first-batch latency to load time. The load
-    // itself still succeeds for datasets the encoder refuses (those can
-    // only ever be served row-major anyway).
-    auto encoded = data.columns();
-    if (encoded.ok()) {
-      const double seconds =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        load_start)
-              .count();
-      RecordDatasetLoadMetrics(**encoded, seconds, options.metrics);
-    }
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      load_start)
+            .count();
+    RecordDatasetLoadMetrics(*domain, data.size(), levels, seconds,
+                             options.metrics);
   }
   return data;
 }

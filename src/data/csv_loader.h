@@ -40,10 +40,10 @@ struct CsvOptions {
   /// Rows with non-numeric cells in the selected columns are skipped when
   /// true, and cause an error when false.
   bool skip_bad_rows = true;
-  /// Record load observability (data_load_seconds, data_rows,
-  /// data_column_cardinality{attr=...} — data/columnar.h) after a
-  /// successful load. Recording forces the dataset's columnar encoding,
-  /// so tenants pay that cost at startup instead of at first batch.
+  /// Record load observability after a successful load:
+  /// data_load_seconds and data_rows (both cumulative) and
+  /// data_column_cardinality{attr=...} (the distinct levels observed in
+  /// the most recent load of that attribute; see csv_loader.cc).
   bool record_load_metrics = true;
   /// Registry the load metrics report into; nullptr = the process-wide
   /// default (what the STATS verb and SIGUSR1 Prometheus dump serve).

@@ -85,13 +85,6 @@ class CellHistogramOp final : public QueryOp {
     return cells_;
   }
 
-  ScanSpec Scan() const override {
-    // The payload is a gather from the joint complete histogram
-    // (data/scan.h RestrictedCounts semantics), so a whole parallel
-    // group shares one scan product per batch.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     const auto* partition =

@@ -53,12 +53,6 @@ class HistogramOp final : public QueryOp {
         env.max_policy_graph_vertices);
   }
 
-  ScanSpec Scan() const override {
-    // The joint complete histogram — the default spec, stated
-    // explicitly because this op IS that scan's defining consumer.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     CompleteHistogramQuery query(ctx.policy.domain().size());

@@ -21,12 +21,21 @@
 #include <vector>
 
 #include "core/sensitivity.h"
-#include "data/scan.h"
 #include "engine/ops/query_op.h"
 #include "mech/laplace.h"
 
 namespace blowfish {
 namespace {
+
+/// The numerator sum_x (x * scale) * h[x], buckets ascending: the
+/// accumulation order (and so the bit pattern) mean has always used.
+double ValueWeightedSum(const Histogram& h, double scale) {
+  double sum = 0.0;
+  for (size_t x = 0; x < h.size(); ++x) {
+    sum += static_cast<double>(x) * scale * h[x];
+  }
+  return sum;
+}
 
 class MeanOp final : public QueryOp {
  public:
@@ -72,13 +81,6 @@ class MeanOp final : public QueryOp {
         env.max_policy_graph_vertices);
   }
 
-  ScanSpec Scan() const override {
-    // Mean reduces the (1-D) complete histogram; on a 1-D domain the
-    // joint product IS the attribute's marginal, so the default spec is
-    // exact.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     const double n = ctx.hist.Total();
@@ -86,8 +88,6 @@ class MeanOp final : public QueryOp {
       return Status::FailedPrecondition("mean of an empty dataset");
     }
     const double scale = ctx.policy.domain().attribute(0).scale;
-    // data/scan.h's kernel keeps the ascending accumulation order this
-    // op has always used, so the sum is bit-identical.
     const double sum = ValueWeightedSum(ctx.hist, scale);
     if (ctx.sensitivity == 0.0) return std::vector<double>{sum / n};
     BLOWFISH_ASSIGN_OR_RETURN(

@@ -58,12 +58,6 @@ class OrderedFamilyOp : public QueryOp {
     return CumulativeHistogramSensitivity(policy);
   }
 
-  ScanSpec Scan() const override {
-    // S_T's prefix-sum input is the joint complete histogram: all three
-    // family members share one scan product per batch.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     std::vector<double> cumulative;

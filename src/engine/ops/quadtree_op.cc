@@ -82,13 +82,6 @@ class QuadtreeOp final : public QueryOp {
         env.max_policy_graph_vertices);
   }
 
-  ScanSpec Scan() const override {
-    // The leaf grid is the joint complete histogram laid out spatially:
-    // the op rides the batch's shared scan like every histogram
-    // consumer.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     Rectangle rect;

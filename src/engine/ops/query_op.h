@@ -97,31 +97,10 @@ struct SensitivityEnv {
   size_t max_policy_graph_vertices = 24;
 };
 
-/// What an op needs scanned from the dataset before Execute runs — the
-/// seam the engine's batch-amortized shared scan keys on. Ops declare
-/// their needs; the engine groups admitted queries with compatible specs
-/// and fulfills them in one pass over the columns instead of one pass
-/// per query (ReleaseEngine::ServeBatch), then hands the result in via
-/// QueryExecContext.
-struct ScanSpec {
-  /// The op consumes the complete histogram h(D) (ctx.hist). Histogram
-  /// consumers with equal attribute sets share one scan per batch.
-  bool needs_histogram = true;
-  /// The op consumes row/point data (ctx.data) — e.g. k-means' embedded
-  /// points. Row consumers are not histogram-shareable.
-  bool needs_rows = false;
-  /// Attribute indices the op touches; empty means the full joint
-  /// domain. Two specs share a scan iff their attribute sets are equal
-  /// (today every histogram consumer uses the joint histogram, so the
-  /// whole batch shares one scan; per-attribute marginals slot in here
-  /// without an engine change).
-  std::vector<size_t> attributes;
-};
-
 /// Everything an admitted query sees at execution time. The histogram is
-/// the dataset's complete histogram, fulfilled by the engine's scan
-/// phase according to the op's ScanSpec (shared per batch in the default
-/// scan mode).
+/// the dataset's complete histogram h(D), which the engine computes once
+/// and shares across every query and batch (an empty histogram for ops
+/// whose NeedsHistogram() is false).
 struct QueryExecContext {
   const Policy& policy;
   const Dataset& data;
@@ -159,8 +138,8 @@ class QueryOp {
   /// Cheap data-dependent preconditions (e.g. mean's non-empty
   /// dataset), run right after Validate — still before sensitivity
   /// resolution and budget charging, so a failure refuses at admission
-  /// and no charge/refund pair is ever minted. Must not read anything
-  /// the op's ScanSpec would have to fulfill (no histogram exists yet).
+  /// and no charge/refund pair is ever minted. Must not read h(D) (it
+  /// may not exist yet).
   /// Default: OK.
   virtual Status ValidateData(const Policy& policy,
                               const Dataset& data) const;
@@ -184,10 +163,9 @@ class QueryOp {
   /// FailedPrecondition — the op is not eligible.
   virtual StatusOr<std::vector<uint64_t>> ParallelCells() const;
 
-  /// The op's dataset-scan needs (see ScanSpec). Default: the joint
-  /// complete histogram, no rows — correct for every histogram-linear
-  /// op; row consumers (k-means) override.
-  virtual ScanSpec Scan() const;
+  /// Whether Execute reads h(D) (ctx.hist). Default: true — correct for
+  /// every histogram-linear op; row consumers (k-means) override.
+  virtual bool NeedsHistogram() const { return true; }
 
   /// Runs the admitted query with its own deterministic RNG stream and
   /// returns the released payload (or the mechanism's error).

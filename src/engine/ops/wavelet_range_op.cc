@@ -77,11 +77,6 @@ class WaveletRangeOp final : public QueryOp {
         env.max_policy_graph_vertices);
   }
 
-  ScanSpec Scan() const override {
-    // The Haar transform's input is the (1-D) complete histogram.
-    return ScanSpec{};
-  }
-
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     if (ctx.sensitivity == 0.0) {

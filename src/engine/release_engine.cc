@@ -11,8 +11,6 @@
 #include "core/privacy_loss.h"
 #include "core/secret_graph.h"
 #include "core/sensitivity.h"
-#include "data/columnar.h"
-#include "data/scan.h"
 #include "util/thread_pool.h"
 
 namespace blowfish {
@@ -48,23 +46,17 @@ StatusOr<std::unique_ptr<ReleaseEngine>> ReleaseEngine::Create(
           std::to_string(i) + " ('" + da.name + "' vs '" + pa.name + "')");
     }
   }
-  // The same refusal every scan path would hit per query, surfaced at
-  // construction in every mode, so modes never differ on which engines
-  // exist (and therefore on receipts and RNG stream histories).
+  // The refusal the lazy h(D) build would hit, surfaced at
+  // construction rather than as a refund on the first batch.
   if (data.domain().size() > (uint64_t{1} << 26)) {
     return Status::ResourceExhausted(
         "domain too large to materialize a complete histogram");
   }
-  std::shared_ptr<const ColumnarTable> columns;
-  if (options.scan_mode != ScanMode::kRowMajor) {
-    BLOWFISH_ASSIGN_OR_RETURN(columns, data.columns());
-  }
-  return std::unique_ptr<ReleaseEngine>(new ReleaseEngine(
-      std::move(policy), std::move(data), std::move(columns), options));
+  return std::unique_ptr<ReleaseEngine>(
+      new ReleaseEngine(std::move(policy), std::move(data), options));
 }
 
 ReleaseEngine::ReleaseEngine(Policy policy, Dataset data,
-                             std::shared_ptr<const ColumnarTable> columns,
                              ReleaseEngineOptions options)
     : policy_(std::move(policy)), data_(std::move(data)),
       options_(options),
@@ -90,12 +82,9 @@ ReleaseEngine::ReleaseEngine(Policy policy, Dataset data,
                                         : obs::TraceWriter::Global()),
       audit_(options.audit != nullptr ? options.audit
                                       : obs::AuditLog::Global()) {
-  columns_ = std::move(columns);
   batches_total_ = metrics_->GetCounter("engine_batches_total");
   batch_latency_us_ = metrics_->GetHistogram("engine_batch_latency_us");
   scans_total_ = metrics_->GetCounter("engine_scans_total");
-  scan_shared_hits_total_ =
-      metrics_->GetCounter("engine_scan_shared_hits_total");
   scan_latency_us_ = metrics_->GetHistogram("engine_scan_latency_us");
 }
 
@@ -152,32 +141,9 @@ StatusOr<double> ReleaseEngine::ResolveSensitivity(
 }
 
 void ReleaseEngine::Execute(const QueryRequest& request,
-                            const Histogram* shared_hist, Random rng,
+                            const Histogram& hist, Random rng,
                             QueryResponse* response) const {
-  Histogram local;
-  const Histogram* hist = shared_hist;
-  if (hist == nullptr) {
-    // No batch-fulfilled product: the query scans for itself, per mode.
-    const ScanSpec spec = request.op->Scan();
-    if (!spec.needs_histogram) {
-      hist = &empty_hist_;
-    } else {
-      const uint64_t scan_start_us = obs::MonotonicMicros();
-      StatusOr<Histogram> scanned =
-          options_.scan_mode == ScanMode::kPerQueryColumnar
-              ? ScanCompleteHistogram(*columns_)
-              : data_.CompleteHistogram();
-      scans_total_->Increment();
-      scan_latency_us_->Observe(obs::MonotonicMicros() - scan_start_us);
-      if (!scanned.ok()) {
-        response->status = scanned.status();
-        return;
-      }
-      local = std::move(*scanned);
-      hist = &local;
-    }
-  }
-  const QueryExecContext ctx{policy_, data_, *hist, request.epsilon,
+  const QueryExecContext ctx{policy_, data_, hist, request.epsilon,
                              response->sensitivity};
   StatusOr<std::vector<double>> released =
       request.op->Execute(ctx, std::move(rng));
@@ -191,10 +157,8 @@ void ReleaseEngine::Execute(const QueryRequest& request,
 struct ReleaseEngine::Work {
   size_t index = 0;
   uint64_t stream_id = 0;
-  /// Batch-fulfilled scan product (shared mode; null in per-query
-  /// modes, where Execute scans for itself). Points into
-  /// scan_products_ / empty_hist_, stable for the engine's lifetime
-  /// and read-only during the drain.
+  /// h(D) or empty_hist_: stable for the engine's lifetime and
+  /// read-only during the drain.
   const Histogram* hist = nullptr;
   /// Stable handle pointers resolved at admission (under serve_mu_), so
   /// the drain threads never touch the kind-metrics map.
@@ -500,47 +464,33 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
     }
   }
 
-  // --- Shared-scan fulfillment (sequential, shared mode only): group
-  // the admitted queries by their ops' ScanSpec and make sure each
-  // group's scan product exists — one pass over the columns per product,
-  // not one per query. Products are cached across batches (the dataset
-  // is immutable), so steady-state batches scan nothing at all. Runs
+  // --- h(D) (sequential): the first admitted query that reads the
+  // histogram builds the engine's memoized h(D); every later query and
+  // batch shares it, so steady-state batches scan nothing at all. Runs
   // after charging so only charged queries can trigger a scan, and
   // before stream assignment so a (theoretically) failed scan refuses
   // the query exactly like a mechanism error — with a refund below.
-  std::vector<const Histogram*> fulfilled(requests.size(), nullptr);
+  std::vector<const Histogram*> hists(requests.size(), &empty_hist_);
   const uint64_t scan_start_us = obs::MonotonicMicros();
-  if (options_.scan_mode == ScanMode::kSharedColumnar) {
-    for (size_t i = 0; i < requests.size(); ++i) {
-      if (!responses[i].status.ok()) continue;
-      const ScanSpec spec = requests[i].op->Scan();
-      if (!spec.needs_histogram) {
-        fulfilled[i] = &empty_hist_;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    if (!responses[i].status.ok() || !requests[i].op->NeedsHistogram()) {
+      continue;
+    }
+    if (hist_ == nullptr) {
+      const uint64_t build_start_us = obs::MonotonicMicros();
+      StatusOr<Histogram> counted = data_.CompleteHistogram();
+      scans_total_->Increment();
+      scan_latency_us_->Observe(obs::MonotonicMicros() - build_start_us);
+      if (!counted.ok()) {
+        // Unreachable while Create caps the domain, but a scan failure
+        // is a mechanism-style failure: refuse this query and let the
+        // settlement pass refund its charge.
+        responses[i].status = counted.status();
         continue;
       }
-      auto& slot = scan_products_[spec.attributes];
-      if (slot == nullptr) {
-        // Every histogram consumer today declares the joint complete
-        // histogram; a marginal product for a non-empty attribute set
-        // would be computed right here instead.
-        const uint64_t product_start_us = obs::MonotonicMicros();
-        StatusOr<Histogram> scanned = ScanCompleteHistogram(*columns_);
-        scans_total_->Increment();
-        scan_latency_us_->Observe(obs::MonotonicMicros() -
-                                  product_start_us);
-        if (!scanned.ok()) {
-          // Unreachable while Create caps the domain, but a scan
-          // failure is a mechanism-style failure: refuse this query and
-          // let the settlement pass refund its charge.
-          responses[i].status = scanned.status();
-          continue;
-        }
-        slot = std::make_shared<const Histogram>(std::move(*scanned));
-      } else {
-        scan_shared_hits_total_->Increment();
-      }
-      fulfilled[i] = slot.get();
+      hist_ = std::make_shared<const Histogram>(std::move(*counted));
     }
+    hists[i] = hist_.get();
   }
   const uint64_t scan_end_us = obs::MonotonicMicros();
 
@@ -553,7 +503,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
   for (size_t i = 0; i < requests.size(); ++i) {
     if (!responses[i].status.ok()) continue;
     const KindMetrics& km = KindMetricsFor(QueryKindName(requests[i]));
-    work.push_back(Work{i, next_stream_++, fulfilled[i], km.latency_us,
+    work.push_back(Work{i, next_stream_++, hists[i], km.latency_us,
                         km.queries_total});
   }
 
@@ -614,7 +564,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       const Work& item = s->work[w];
       QueryResponse& response = (*s->responses)[item.index];
       const uint64_t exec_start_us = obs::MonotonicMicros();
-      s->engine->Execute((*s->requests)[item.index], item.hist,
+      s->engine->Execute((*s->requests)[item.index], *item.hist,
                          Random(s->engine->root_seed_).Fork(item.stream_id),
                          &response);
       const uint64_t exec_us = obs::MonotonicMicros() - exec_start_us;
@@ -748,15 +698,13 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       trace.Stamp(&span);
       tracer_->Write(std::move(span));
     };
-    // The three server-side engine phases of the causal tree:
-    // validate+sensitivity, cooperative-drain execution, and
-    // refund/settle. ts_us is CLOCK_MONOTONIC microseconds —
+    // The server-side engine phases of the causal tree:
+    // validate+sensitivity, the h(D) scan, cooperative-drain execution,
+    // and refund/settle. ts_us is CLOCK_MONOTONIC microseconds —
     // comparable across processes on one machine, so client and
     // server spans merge onto one timeline.
     phase_span("sensitivity", batch_start_us, sens_end_us);
-    if (options_.scan_mode == ScanMode::kSharedColumnar) {
-      phase_span("scan", scan_start_us, scan_end_us);
-    }
+    phase_span("scan", scan_start_us, scan_end_us);
     phase_span("execute", exec_phase_start_us, exec_phase_end_us);
     phase_span("settle", settle_start_us, settle_end_us);
     for (size_t i = 0; i < requests.size(); ++i) {

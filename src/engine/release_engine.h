@@ -25,12 +25,11 @@
 //     forked deterministically from the engine's root seed (util/random.h
 //     Fork(stream_id)), so a batch's output is bit-identical regardless
 //     of pool size or scheduling.
-//   * a columnar dataset engine — in the default scan mode the engine
-//     dictionary-encodes the dataset once (data/columnar.h) and
-//     ServeBatch fulfills every admitted query's counting needs
-//     (QueryOp::ScanSpec) from batch-amortized shared scan products
-//     before execution, instead of letting each query re-walk the rows;
-//     see ScanMode for the per-query comparison modes.
+//   * the complete histogram h(D) — every histogram-consuming op reads
+//     the same h(D), and the dataset is immutable, so the engine counts
+//     it once (Dataset::CompleteHistogram), the first time an admitted
+//     query needs it, and shares it across all later queries and
+//     batches.
 //
 // The engine knows no query kind by name: every request carries a
 // QueryOp (engine/ops/query_op.h), and validation, sensitivity shape and
@@ -136,27 +135,6 @@ using QueryCompletionCallback =
     std::function<void(size_t index, const QueryResponse& response)>;
 
 class ThreadPool;
-class ColumnarTable;
-
-/// Dataset scan strategy for the execute phase. All three modes serve
-/// bit-identical bytes (same noise draws, same values) — the complete
-/// histogram is integer-exact however it is counted, and RNG streams
-/// depend only on (root seed, admission history).
-enum class ScanMode {
-  /// Default: dictionary-encoded columns (data/columnar.h) with
-  /// batch-amortized shared scans — ServeBatch groups admitted queries
-  /// by their ops' ScanSpec and fulfills each group's counts in one
-  /// pass, before execution; products are cached across batches (the
-  /// dataset is immutable).
-  kSharedColumnar,
-  /// Columnar scan kernels, but each query re-scans for itself — the
-  /// kernel-vs-kernel comparison point, no cross-query amortization.
-  kPerQueryColumnar,
-  /// The pre-columnar reference: each query walks row-major
-  /// Dataset::tuples() for itself. Kept as the bit-identity oracle and
-  /// the bench baseline.
-  kRowMajor,
-};
 
 struct ReleaseEngineOptions {
   /// Execution parallelism when `pool` is null: the engine starts its own
@@ -185,9 +163,6 @@ struct ReleaseEngineOptions {
   uint64_t max_pairs = uint64_t{1} << 28;
   /// Vertex bound for the exact policy-graph alpha/xi DFS (Thm 8.1).
   size_t max_policy_graph_vertices = 24;
-  /// How the execute phase reads the dataset (see ScanMode). Output is
-  /// bit-identical across modes; only throughput differs.
-  ScanMode scan_mode = ScanMode::kSharedColumnar;
   /// Registry for the engine's telemetry (per-kind dispatch latency and
   /// spend, refusal-by-status counters, batch counters) and its
   /// accountant's per-tenant budget counters. nullptr = the process-wide
@@ -217,10 +192,9 @@ struct ReleaseEngineOptions {
 
 class ReleaseEngine {
  public:
-  /// Builds the engine: fingerprints the policy, refuses domains too
-  /// large to materialize a complete histogram (the same refusal in
-  /// every scan mode, so modes never differ on which engines exist),
-  /// and — in the columnar modes — dictionary-encodes the dataset once.
+  /// Builds the engine: fingerprints the policy and refuses domains too
+  /// large to materialize a complete histogram. h(D) itself is counted
+  /// lazily, by the first batch that admits a query needing it.
   static StatusOr<std::unique_ptr<ReleaseEngine>> Create(
       Policy policy, Dataset data, ReleaseEngineOptions options = {});
 
@@ -262,9 +236,7 @@ class ReleaseEngine {
   struct Work;
   struct KindMetrics;
 
-  ReleaseEngine(Policy policy, Dataset data,
-                std::shared_ptr<const ColumnarTable> columns,
-                ReleaseEngineOptions options);
+  ReleaseEngine(Policy policy, Dataset data, ReleaseEngineOptions options);
 
   /// Per-kind metric handles, resolved lazily under serve_mu_ (admission
   /// is serialized, so the map never races; drain threads only see the
@@ -280,9 +252,8 @@ class ReleaseEngine {
                                       bool* cache_hit);
 
   /// Runs one admitted query with its own RNG; writes into `response`.
-  /// `shared_hist` is the batch-fulfilled scan product (shared mode);
-  /// when null, the query scans for itself per the engine's scan mode.
-  void Execute(const QueryRequest& request, const Histogram* shared_hist,
+  /// `hist` is h(D), or empty_hist_ for ops that do not read it.
+  void Execute(const QueryRequest& request, const Histogram& hist,
                Random rng, QueryResponse* response) const;
 
   Policy policy_;
@@ -290,18 +261,11 @@ class ReleaseEngine {
   ReleaseEngineOptions options_;
   std::string policy_fp_;
   BudgetAccountant accountant_;
-  /// Dictionary-encoded view of data_ (columnar scan modes; null in
-  /// row-major mode). Immutable after Create.
-  std::shared_ptr<const ColumnarTable> columns_;
-  /// Batch-amortized shared scan products, keyed by the ScanSpec
-  /// attribute set (empty = the joint complete histogram — the only
-  /// product today's ops request; marginal products slot into the same
-  /// map). Built lazily in ServeBatch's scan-fulfillment phase under
-  /// serve_mu_, then read-only shared with the drain workers; cached
-  /// across batches because the dataset is immutable. Shared mode only.
-  std::map<std::vector<size_t>, std::shared_ptr<const Histogram>>
-      scan_products_;
-  /// Handed to ops whose ScanSpec declares no histogram need (k-means):
+  /// The memoized h(D): null until the first admitted query that needs
+  /// it, then filled under serve_mu_ and read-only shared with the drain
+  /// workers for the engine's lifetime (the dataset is immutable).
+  std::shared_ptr<const Histogram> hist_;
+  /// Handed to ops whose NeedsHistogram() is false (k-means):
   /// ctx.hist must bind to something, and an empty histogram makes an
   /// accidental read fail loudly rather than silently see stale counts.
   Histogram empty_hist_;
@@ -329,11 +293,8 @@ class ReleaseEngine {
   obs::Counter* batches_total_;
   obs::Histogram* batch_latency_us_;
   /// Scan telemetry: one scans_total tick + one latency observation per
-  /// dataset pass (shared products and per-query scans alike); a
-  /// shared-hit tick for every query served from an already-computed
-  /// shared product.
+  /// h(D) build — at most one per engine unless the build fails.
   obs::Counter* scans_total_;
-  obs::Counter* scan_shared_hits_total_;
   obs::Histogram* scan_latency_us_;
   std::map<std::string, std::unique_ptr<KindMetrics>> kind_metrics_;
   std::map<StatusCode, obs::Counter*> refusal_counters_;

@@ -58,9 +58,9 @@ class QuadtreeMechanism {
                                              Random& rng);
 
   /// The same release fed from a complete histogram over the domain
-  /// (hist[v] tuples at value v) instead of raw rows — the form the
-  /// engine's batch-amortized shared scan produces, so query ops never
-  /// row-walk the dataset themselves.
+  /// (hist[v] tuples at value v) instead of raw rows — the h(D) the
+  /// engine memoizes, so query ops never row-walk the dataset
+  /// themselves.
   static StatusOr<QuadtreeMechanism> Release(const Histogram& hist,
                                              const Policy& policy,
                                              double epsilon,

@@ -720,12 +720,15 @@ void BlowfishServer::FinishBatchCollection(Connection* conn) {
         // pre-read owner pointer, not through conn.
         IoLoop* owner = conn->owner;
         conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-        total_inflight_.fetch_sub(1);
         {
           std::lock_guard<std::mutex> lk(owner->mu);
           owner->finish_q.push_back(conn);
         }
         owner->wakeup.Signal();
+        // Last of all: Stop() waits for total_inflight_ to reach 0 and
+        // then tears the loops down, so the owner loop must not be
+        // touched after this decrement.
+        total_inflight_.fetch_sub(1);
       });
 }
 

@@ -98,7 +98,6 @@ StatusOr<ReleaseEngine*> EngineHost::GetOrCreateEngine(
   engine_options.max_pairs = tenant->options.max_pairs;
   engine_options.max_policy_graph_vertices =
       tenant->options.max_policy_graph_vertices;
-  engine_options.scan_mode = tenant->options.scan_mode;
   engine_options.metrics = options_.metrics;
   engine_options.metrics_scope = TenantMetricsScope(key.first, key.second);
   engine_options.tracer = options_.tracer;

@@ -87,10 +87,6 @@ struct TenantOptions {
   /// Pair budget for the all-pairs constrained move enumeration.
   uint64_t max_pairs = uint64_t{1} << 28;
   size_t max_policy_graph_vertices = 24;
-  /// How the tenant's engine reads its dataset (engine/release_engine.h
-  /// ScanMode). Served bytes are bit-identical across modes; the
-  /// non-default modes exist for benchmarking and equivalence testing.
-  ScanMode scan_mode = ScanMode::kSharedColumnar;
 };
 
 class EngineHost {

@@ -10,8 +10,8 @@
 //
 // Two I/O styles coexist:
 //
-//   * Blocking (SendAll / Recv / Accept) — what BlowfishClient and the
-//     tests use: one thread, linear protocol state.
+//   * Blocking (SendAll / Recv) — what BlowfishClient and the tests
+//     use: one thread, linear protocol state.
 //   * Nonblocking (SetNonBlocking + SendNb / RecvNb / TryAccept) — what
 //     the server's epoll reactor uses: a would-block is a distinct
 //     outcome, never an error, and no call ever parks the thread.
@@ -60,23 +60,10 @@ class Socket {
   static StatusOr<Socket> ConnectTcp(const std::string& address,
                                      uint16_t port);
 
-  /// Writes all of `len` bytes (retrying partial writes and EINTR).
-  /// SIGPIPE is suppressed (MSG_NOSIGNAL) — a dead peer is an error
-  /// return, never a process signal. `total_timeout_ms` > 0 bounds the
-  /// WHOLE call: the deadline covers all retries, so a peer that
-  /// trickle-reads a few bytes per timeout window cannot keep the
-  /// write alive indefinitely the way a per-send() bound would. 0 =
-  /// block until done. Deadline expiry is structurally
-  /// StatusCode::kDeadlineExceeded — callers (and the server's
-  /// net_send_deadline_expired_total counter) match on the code, never
-  /// on message text.
-  Status SendAll(const void* data, size_t len, int total_timeout_ms = 0);
-
-  /// Bounds each individual blocking send() (SO_SNDTIMEO) — a
-  /// belt-and-braces floor under SendAll's poll-based deadline for the
-  /// rare send() that blocks after POLLOUT. 0 restores unbounded
-  /// blocking sends.
-  Status SetSendTimeout(int millis);
+  /// Writes all of `len` bytes, blocking until done (retrying partial
+  /// writes and EINTR). SIGPIPE is suppressed (MSG_NOSIGNAL) — a dead
+  /// peer is an error return, never a process signal.
+  Status SendAll(const void* data, size_t len);
 
   /// Reads up to `cap` bytes; returns 0 on clean EOF. Retries EINTR.
   StatusOr<size_t> Recv(void* buf, size_t cap);
@@ -140,13 +127,6 @@ class ListenSocket {
   /// another connection.
   static bool IsTransientAcceptError(int errno_value);
 
-  /// Blocking accept; the returned socket is CLOEXEC (accept4).
-  /// Transient errnos (IsTransientAcceptError) come back as
-  /// kResourceExhausted so a caller can retry instead of exiting;
-  /// everything else — including EINVAL after Shutdown(), the accept
-  /// loop's clean exit signal — is kFailedPrecondition.
-  StatusOr<Socket> Accept();
-
   /// One nonblocking accept attempt (requires SetNonBlocking(true)).
   /// The accepted socket comes back nonblocking + CLOEXEC with
   /// TCP_NODELAY set. kError means transient (retry after backoff);
@@ -157,7 +137,7 @@ class ListenSocket {
   /// Toggles O_NONBLOCK on the listener.
   Status SetNonBlocking(bool on);
 
-  /// Unblocks a concurrent Accept and poisons the socket. Idempotent.
+  /// Poisons the listener: later TryAccepts return kEof. Idempotent.
   void Shutdown();
 
   void Close();

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/metrics.h"
+
 namespace blowfish {
 namespace {
 
@@ -108,6 +110,58 @@ TEST(CsvLoaderTest, LoadsFromFile) {
   EXPECT_EQ(d.tuple(1), 200u);
   std::remove(path);
   EXPECT_FALSE(LoadCsvFile("/nonexistent/file.csv", {LossColumn()}).ok());
+}
+
+TEST(CsvLoaderTest, RecordsLoadMetrics) {
+  CsvColumnSpec spec;
+  spec.column = 0;
+  spec.attribute = Attribute{"age", 10, 1.0};
+  obs::MetricsRegistry registry;
+  CsvOptions options;
+  options.metrics = &registry;
+  auto data = LoadCsv("age\n3\n3\n7\n1\n", {spec}, options);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(data->size(), 4u);
+  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 4);
+  EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
+            3);
+  EXPECT_GT(registry.GetDoubleCounter("data_load_seconds")->Value(), 0.0);
+}
+
+TEST(CsvLoaderTest, LoadMetricsAccumulateAndCardinalityIsSetToLatest) {
+  CsvColumnSpec age;
+  age.column = 0;
+  age.attribute = Attribute{"age", 16, 1.0};
+  CsvColumnSpec hours;
+  hours.column = 1;
+  hours.attribute = Attribute{"hours", 8, 1.0};
+  obs::MetricsRegistry registry;
+  CsvOptions options;
+  options.metrics = &registry;
+  // Levels are clamped into the domain, so hours 9 counts as level 7.
+  ASSERT_TRUE(LoadCsv("age,hours\n1,2\n1,3\n5,9\n", {age, hours},
+                      options)
+                  .ok());
+  const double first_seconds =
+      registry.GetDoubleCounter("data_load_seconds")->Value();
+  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 3);
+  EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
+            2);
+  EXPECT_EQ(
+      registry.GetGauge("data_column_cardinality{attr=hours}")->Value(), 3);
+
+  // Seconds and rows accumulate across loads; per-attribute cardinality
+  // is set to the latest load's, not summed. Skipped rows do not count.
+  ASSERT_TRUE(LoadCsv("age,hours\n4,1\nbroken\n4,1\n", {age, hours},
+                      options)
+                  .ok());
+  EXPECT_GT(registry.GetDoubleCounter("data_load_seconds")->Value(),
+            first_seconds);
+  EXPECT_EQ(registry.GetGauge("data_rows")->Value(), 5);
+  EXPECT_EQ(registry.GetGauge("data_column_cardinality{attr=age}")->Value(),
+            1);
+  EXPECT_EQ(
+      registry.GetGauge("data_column_cardinality{attr=hours}")->Value(), 1);
 }
 
 }  // namespace

@@ -47,17 +47,6 @@ TEST(DatasetTest, CompleteHistogram) {
   EXPECT_DOUBLE_EQ(h.Total(), 6.0);
 }
 
-TEST(DatasetTest, PartitionedHistogram) {
-  auto dom = MakeLine(6);
-  Dataset d = Dataset::Create(dom, {0, 1, 2, 3, 4, 5, 5}).value();
-  // Two buckets: low {0,1,2}, high {3,4,5}.
-  Histogram h = d.PartitionedHistogram(
-      [](ValueIndex x) { return x < 3 ? 0 : 1; }, 2);
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_DOUBLE_EQ(h[0], 3.0);
-  EXPECT_DOUBLE_EQ(h[1], 4.0);
-}
-
 TEST(DatasetTest, PointsEmbedding) {
   auto dom = std::make_shared<const Domain>(
       Domain::Create({Attribute{"x", 4, 2.0}, Attribute{"y", 4, 1.0}})

@@ -1,16 +1,14 @@
-// Scan-mode equivalence, end to end: every registered QueryOp served
-// through ReleaseEngine under all three ScanModes (row-major walk,
-// per-query columnar kernel, batch-amortized shared scan) at pool sizes
-// {0, 1, 8}, on line and grid fixtures (unconstrained and constrained
-// twins of each), asserting
-// byte-identical responses — values, statuses, sensitivities, full
-// budget receipts — and identical budget arithmetic. The representation
-// an engine reads its dataset through must be unobservable in its
-// output; only the clock can tell the modes apart.
-//
-// A final test drives the same contract over the wire: two daemons,
-// one serving a row-major tenant and one a shared-scan tenant, answer a
-// whole-registry batch with byte-identical frames.
+// h(D) memo identity, end to end: every registered QueryOp served
+// through ReleaseEngine at pool sizes {0, 1, 8}, on line and grid
+// fixtures (unconstrained and constrained twins of each), for three
+// consecutive batches. Each admitted query's payload must be
+// bit-identical to a reference the test builds itself — the op run on
+// a freshly counted Dataset::CompleteHistogram() with the RNG stream
+// Random(kSeed).Fork(stream_id), stream ids assigned in admission order
+// — so the engine's memoized h(D) is unobservable in its output. Full
+// responses (statuses, sensitivities, receipts) and the ledger must
+// also be identical across pool sizes, and each engine must count h(D)
+// exactly once.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +22,7 @@
 #include "core/secret_graph.h"
 #include "engine/batch_request.h"
 #include "engine/release_engine.h"
-#include "net/client.h"
-#include "net/server.h"
-#include "server/engine_host.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -81,8 +77,8 @@ struct Fixture {
   Dataset data;
   /// Kinds expected to refuse this fixture (dimension mismatch or the
   /// documented hier_range constrained holdout). Refusals are part of
-  /// the transcript: they must be byte-identical across modes and
-  /// pools, same as served payloads.
+  /// the transcript: they must be byte-identical across pools and
+  /// batches, same as served payloads.
   std::vector<std::string> expected_refusals;
 };
 
@@ -164,14 +160,15 @@ std::vector<Fixture> Fixtures() {
   return out;
 }
 
-std::unique_ptr<ReleaseEngine> MakeEngine(
-    const Policy& policy, const Dataset& data, ScanMode mode,
-    std::shared_ptr<ThreadPool> pool = nullptr) {
+std::unique_ptr<ReleaseEngine> MakeEngine(const Policy& policy,
+                                          const Dataset& data,
+                                          std::shared_ptr<ThreadPool> pool,
+                                          obs::MetricsRegistry* metrics) {
   ReleaseEngineOptions options;
   options.root_seed = kSeed;
   options.default_session_budget = 10.0;
-  options.scan_mode = mode;
-  if (pool != nullptr) options.pool = std::move(pool);
+  options.pool = std::move(pool);
+  options.metrics = metrics;
   auto engine = ReleaseEngine::Create(policy, data, options);
   EXPECT_TRUE(engine.ok()) << engine.status().ToString();
   return std::move(*engine);
@@ -199,113 +196,72 @@ void ExpectByteIdentical(const std::vector<QueryResponse>& got,
   }
 }
 
-TEST(ColumnarE2eTest, AllOpsByteIdenticalAcrossScanModesAndPoolSizes) {
+TEST(MemoIdentityTest, AllOpsMatchRecomputedReferenceAcrossPoolsAndBatches) {
+  constexpr int kBatches = 3;
   for (const Fixture& f : Fixtures()) {
     SCOPED_TRACE("fixture " + f.name);
-    // Reference transcript: the default configuration (shared scan,
-    // engine-owned pool).
-    auto reference_engine =
-        MakeEngine(f.policy, f.data, ScanMode::kSharedColumnar);
-    const std::vector<QueryResponse> reference =
-        reference_engine->ServeBatch(WholeRegistryBatch());
-    ASSERT_EQ(reference.size(),
-              QueryOpRegistry::Global().KnownKinds().size());
-    const double reference_spent = reference_engine->accountant().Spent("");
-    // Exactly the fixture's expected-refusal set refuses; every other
-    // kind serves. (Refusal CONTENT is checked in
-    // constrained_ops_e2e_test and query_ops_test; here the set
-    // membership plus the byte-identity sweep below pin that refusals
-    // are mode- and pool-invariant too.)
-    for (size_t i = 0; i < reference.size(); ++i) {
-      const bool expect_refusal =
-          std::find(f.expected_refusals.begin(), f.expected_refusals.end(),
-                    reference[i].label) != f.expected_refusals.end();
-      EXPECT_EQ(reference[i].status.ok(), !expect_refusal)
-          << reference[i].label << ": " << reference[i].status.ToString();
-    }
-    EXPECT_GT(reference_spent, 0.0);
-
-    for (ScanMode mode :
-         {ScanMode::kRowMajor, ScanMode::kPerQueryColumnar,
-          ScanMode::kSharedColumnar}) {
-      for (size_t pool_size : {size_t{0}, size_t{1}, size_t{8}}) {
+    // The pool-0 transcript, batch by batch; larger pools must match it.
+    std::vector<std::vector<QueryResponse>> first_pool;
+    double first_pool_spent = 0.0;
+    for (size_t pool_size : {size_t{0}, size_t{1}, size_t{8}}) {
+      const std::string pool = "pool " + std::to_string(pool_size);
+      obs::MetricsRegistry metrics;
+      auto engine = MakeEngine(f.policy, f.data,
+                               std::make_shared<ThreadPool>(pool_size),
+                               &metrics);
+      uint64_t stream_id = 0;
+      for (int batch = 0; batch < kBatches; ++batch) {
         const std::string context =
-            "mode " + std::to_string(static_cast<int>(mode)) + ", pool " +
-            std::to_string(pool_size);
-        auto engine =
-            MakeEngine(f.policy, f.data, mode,
-                       std::make_shared<ThreadPool>(pool_size));
+            pool + ", batch " + std::to_string(batch);
+        const std::vector<QueryRequest> requests = WholeRegistryBatch();
         const std::vector<QueryResponse> responses =
-            engine->ServeBatch(WholeRegistryBatch());
-        ExpectByteIdentical(responses, reference, context);
-        // Identical receipts and identical ledger: the budget arithmetic
-        // is exactly reproduced, not merely the payloads.
-        EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), reference_spent)
-            << context;
+            engine->ServeBatch(requests);
+        ASSERT_EQ(responses.size(), requests.size()) << context;
+        for (size_t i = 0; i < responses.size(); ++i) {
+          const std::string at = context + ", " + responses[i].label;
+          const bool expect_refusal =
+              std::find(f.expected_refusals.begin(),
+                        f.expected_refusals.end(),
+                        responses[i].label) != f.expected_refusals.end();
+          if (expect_refusal) {
+            // Refused at admission: never charged, never given a stream.
+            EXPECT_FALSE(responses[i].status.ok()) << at;
+            EXPECT_EQ(responses[i].receipt.charge_id, 0u) << at;
+            continue;
+          }
+          ASSERT_TRUE(responses[i].status.ok())
+              << at << ": " << responses[i].status.ToString();
+          // The reference: recount h(D) from the rows and run the op on
+          // the stream the engine assigned in admission order.
+          const Histogram hist = f.data.CompleteHistogram().value();
+          const QueryExecContext ctx{f.policy, f.data, hist,
+                                     requests[i].epsilon,
+                                     responses[i].sensitivity};
+          auto want = requests[i].op->Execute(
+              ctx, Random(kSeed).Fork(stream_id++));
+          ASSERT_TRUE(want.ok()) << at << ": " << want.status().ToString();
+          EXPECT_EQ(responses[i].values, *want) << at;
+        }
+        if (pool_size == 0) {
+          first_pool.push_back(responses);
+        } else {
+          ExpectByteIdentical(responses, first_pool[batch], context);
+        }
       }
+      // Identical receipts and identical ledger: the budget arithmetic
+      // is exactly reproduced, not merely the payloads.
+      const double spent = engine->accountant().Spent("");
+      EXPECT_GT(spent, 0.0) << pool;
+      if (pool_size == 0) {
+        first_pool_spent = spent;
+      } else {
+        EXPECT_EQ(spent, first_pool_spent) << pool;
+      }
+      // The memo: three batches of histogram consumers, one count.
+      EXPECT_EQ(metrics.GetCounter("engine_scans_total")->Value(), 1u)
+          << pool;
     }
   }
-}
-
-TEST(ColumnarE2eTest, RepeatedBatchesStayIdenticalAcrossModes) {
-  // The shared-scan engine caches its scan product across batches; the
-  // row-major engine rescans per query. Three consecutive batches must
-  // nonetheless produce one identical transcript — the cache can change
-  // timings only.
-  for (const Fixture& f : Fixtures()) {
-    SCOPED_TRACE("fixture " + f.name);
-    auto shared_engine =
-        MakeEngine(f.policy, f.data, ScanMode::kSharedColumnar);
-    auto row_engine = MakeEngine(f.policy, f.data, ScanMode::kRowMajor);
-    for (int round = 0; round < 3; ++round) {
-      const std::vector<QueryResponse> shared =
-          shared_engine->ServeBatch(WholeRegistryBatch());
-      const std::vector<QueryResponse> row =
-          row_engine->ServeBatch(WholeRegistryBatch());
-      ExpectByteIdentical(shared, row, "round " + std::to_string(round));
-    }
-    EXPECT_DOUBLE_EQ(shared_engine->accountant().Spent(""),
-                     row_engine->accountant().Spent(""));
-  }
-}
-
-TEST(ColumnarE2eTest, WireTranscriptIdenticalForRowAndSharedTenants) {
-  // Two daemons, built identically except for the tenant's scan mode;
-  // the same batch text must come back byte-identical over the wire —
-  // the full e2e path (parse -> admit -> scan -> execute -> frame) is
-  // representation-invariant.
-  auto domain = LineDomain(16);
-  Dataset data = MakeData(domain, 300, 13);
-  auto part = PartitionGraph::UniformGrid(domain, {4}).value();
-  Policy policy =
-      Policy::Create(domain,
-                     std::shared_ptr<const SecretGraph>(part.release()))
-          .value();
-  const std::string batch_text = WholeRegistryBatchText();
-
-  std::vector<std::vector<QueryResponse>> transcripts;
-  for (ScanMode mode : {ScanMode::kRowMajor, ScanMode::kSharedColumnar}) {
-    EngineHostOptions host_options;
-    host_options.num_threads = 2;
-    auto host = std::make_unique<EngineHost>(host_options);
-    TenantOptions tenant;
-    tenant.default_session_budget = 10.0;
-    tenant.root_seed = kSeed;
-    tenant.scan_mode = mode;
-    ASSERT_TRUE(host->AddTenant("p", "d", policy, data, tenant).ok());
-
-    auto server = BlowfishServer::Start(host.get());
-    ASSERT_TRUE(server.ok()) << server.status().ToString();
-    auto client =
-        BlowfishClient::Connect("127.0.0.1", (*server)->port(), "p", "d");
-    ASSERT_TRUE(client.ok()) << client.status().ToString();
-    auto responses = (*client)->SubmitBatchText(batch_text);
-    ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-    EXPECT_TRUE((*client)->Bye().ok());
-    (*server)->Stop();
-    transcripts.push_back(std::move(*responses));
-  }
-  ExpectByteIdentical(transcripts[1], transcripts[0], "row vs shared");
 }
 
 }  // namespace

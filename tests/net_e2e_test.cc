@@ -1174,61 +1174,6 @@ TEST(NetE2eTest, BatchTotalBytesAreCapped) {
   EXPECT_TRUE(saw_done);
 }
 
-TEST(NetE2eTest, SendTimeoutUnblocksAWriterOnAStalledPeer) {
-  auto listener = ListenSocket::BindTcp("127.0.0.1", 0);
-  ASSERT_TRUE(listener.ok());
-  auto client = Socket::ConnectTcp("127.0.0.1", listener->port());
-  ASSERT_TRUE(client.ok());
-  auto accepted = listener->Accept();
-  ASSERT_TRUE(accepted.ok());
-  ASSERT_TRUE(accepted->SetSendTimeout(100).ok());
-  // The peer never reads: once its receive window and our send buffer
-  // fill, the write can make no progress and must fail within the
-  // deadline rather than block the writing thread forever.
-  const std::string chunk(1 << 20, 'x');
-  Status status = Status::OK();
-  for (int i = 0; i < 256 && status.ok(); ++i) {
-    status = accepted->SendAll(chunk.data(), chunk.size(), 100);
-  }
-  EXPECT_FALSE(status.ok());
-  // Structured code, not a string probe: callers (the server's dead-peer
-  // policy among them) branch on kDeadlineExceeded.
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(status.message().find("timed out"), std::string::npos);
-}
-
-TEST(NetE2eTest, SendDeadlineCoversATrickleReadingPeer) {
-  // The deadline is per SendAll call, NOT per send(): a peer reading a
-  // few bytes per window makes just enough progress to reset a
-  // per-send() bound forever, but cannot outlast one total deadline.
-  auto listener = ListenSocket::BindTcp("127.0.0.1", 0);
-  ASSERT_TRUE(listener.ok());
-  auto client = Socket::ConnectTcp("127.0.0.1", listener->port());
-  ASSERT_TRUE(client.ok());
-  auto accepted = listener->Accept();
-  ASSERT_TRUE(accepted.ok());
-  std::atomic<bool> stop_reading{false};
-  std::thread trickler([&]() {
-    char buf[4096];
-    while (!stop_reading.load()) {
-      auto n = client->Recv(buf, sizeof(buf));
-      if (!n.ok() || *n == 0) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  });
-  // 64 MiB against a peer draining ~200 KiB/s: progress never stops,
-  // but the 300 ms total deadline must still fire.
-  const std::string huge(size_t{64} << 20, 'x');
-  const Status status = accepted->SendAll(huge.data(), huge.size(), 300);
-  EXPECT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_NE(status.message().find("timed out"), std::string::npos);
-  stop_reading.store(true);
-  accepted->ShutdownBoth();
-  client->ShutdownBoth();
-  trickler.join();
-}
-
 TEST(NetE2eTest, StopCompletesAgainstAClientThatStoppedReading) {
   // The reviewer scenario for the drain path: a client pipelines
   // batches with large responses and never reads a byte. The server's

@@ -136,6 +136,33 @@ TEST(MeanOpTest, EdgelessPolicyReleasesExactMeanForFree) {
   EXPECT_DOUBLE_EQ(responses[0].values[0], sum / data.size());
 }
 
+TEST(MeanOpTest, SumAccumulatesBucketsAscending) {
+  // Floating-point addition is order-sensitive: mean's numerator must
+  // keep summing (x * scale) * h[x] over buckets in ascending order, or
+  // its released bytes change. A fractional scale makes the order show.
+  auto domain = std::make_shared<const Domain>(
+      Domain::Line(32, 0.1).value());
+  Policy policy = Policy::DistanceThreshold(domain, 0.05).value();
+  Dataset data = MakeData(domain, 2000, 3);
+  const Histogram hist = data.CompleteHistogram().value();
+  double ascending = 0.0;
+  for (size_t x = 0; x < hist.size(); ++x) {
+    ascending += static_cast<double>(x) * 0.1 * hist[x];
+  }
+  double descending = 0.0;
+  for (size_t x = hist.size(); x-- > 0;) {
+    descending += static_cast<double>(x) * 0.1 * hist[x];
+  }
+  ASSERT_NE(ascending, descending) << "fixture cannot tell the orders apart";
+
+  auto op = QueryOpRegistry::Global().Create("mean").value();
+  const QueryExecContext ctx{policy, data, hist, 0.0, 0.0};
+  auto released = op->Execute(ctx, Random(kSeed));
+  ASSERT_TRUE(released.ok()) << released.status().ToString();
+  ASSERT_EQ(released->size(), 1u);
+  EXPECT_EQ((*released)[0], ascending / static_cast<double>(data.size()));
+}
+
 TEST(MeanOpTest, SensitivityIsPolicySpecific) {
   auto domain = LineDomain(32);
   Dataset data = MakeData(domain, 200);

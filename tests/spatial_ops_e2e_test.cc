@@ -1,13 +1,13 @@
 // The `quadtree` scenario column, end to end: the self-registered op
 // serves 2-D rectangle counts through ReleaseEngine (CLI batch) and
-// over the wire, riding the batch's shared scan, and the mechanism's
+// over the wire, reading the engine's memoized h(D), and the mechanism's
 // Blowfish free-levels optimization behaves exactly as Sec 7.2's
 // analysis says it must:
 //
 //  * under an aligned uniform-grid partition policy the coarse levels
 //    are released EXACTLY (the spatial analogue of "the histogram of P
 //    can be released without noise"), under the full graph no level is;
-//  * the histogram-fed Release overload — the engine's shared-scan form
+//  * the histogram-fed Release overload — what the engine's h(D) feeds
 //    — is byte-identical to the row-walking Dataset overload;
 //  * pinned constraints disable the free levels (a compensating move is
 //    not confined to a partition cell) and are accepted only when the
@@ -128,7 +128,7 @@ TEST(QuadtreeMechanismTest, AlignedPartitionLevelsAreExactFullGraphNoisy) {
 }
 
 TEST(QuadtreeMechanismTest, HistogramOverloadMatchesDatasetOverload) {
-  // The shared-scan form must be indistinguishable from the row walk:
+  // The histogram-fed form must be indistinguishable from the row walk:
   // same policy, same epsilon, same rng seed -> bit-identical trees,
   // probed through rectangle counts.
   auto domain = GridDomain(8);
