@@ -446,8 +446,8 @@ int Run(const std::string& json_path) {
   // the transcripts must match exactly).
   constexpr size_t kOpQueries = 64;
   // quadtree reuses the 2-attribute scan workload: the 4 x 512 domain
-  // resolves at depth 9, so each release builds and noises a ~350k-node
-  // tree before answering the range count.
+  // resolves at depth 9, so each release builds a ~350k-node tree of
+  // exact counts, then draws noise only for the range count's cover.
   double quadtree_qps = 0.0;
   bool quadtree_identity = true;
   {

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
-#include <unordered_map>
 
 namespace blowfish {
 
@@ -120,16 +119,45 @@ StatusOr<std::unique_ptr<PartitionGraph>> PartitionGraph::UniformGrid(
   return graph;
 }
 
+const PartitionGraph::CellIndex& PartitionGraph::Index() const {
+  std::call_once(index_once_, [this] {
+    // Sorting (cell, value) pairs groups the values by cell and keeps
+    // each cell's values in domain order.
+    std::vector<std::pair<uint64_t, ValueIndex>> by_cell(n_);
+    for (ValueIndex x = 0; x < n_; ++x) by_cell[x] = {cell_of_(x), x};
+    std::sort(by_cell.begin(), by_cell.end());
+    index_.members.reserve(n_);
+    for (const auto& [cell, x] : by_cell) {
+      if (index_.ids.empty() || index_.ids.back() != cell) {
+        index_.ids.push_back(cell);
+        index_.offsets.push_back(index_.members.size());
+      }
+      index_.members.push_back(x);
+    }
+    index_.offsets.push_back(index_.members.size());
+  });
+  return index_;
+}
+
+PartitionGraph::ValueRun PartitionGraph::Members(uint64_t cell) const {
+  const CellIndex& index = Index();
+  auto it = std::lower_bound(index.ids.begin(), index.ids.end(), cell);
+  if (it == index.ids.end() || *it != cell) return ValueRun{};
+  const size_t k = static_cast<size_t>(it - index.ids.begin());
+  const ValueIndex* base = index.members.data();
+  return ValueRun{base + index.offsets[k], base + index.offsets[k + 1]};
+}
+
 Status PartitionGraph::ForEachEdge(
     const std::function<void(ValueIndex, ValueIndex)>& fn,
     uint64_t max_edges) const {
   EdgeBudget budget(max_edges);
-  std::unordered_map<uint64_t, std::vector<ValueIndex>> cells;
-  for (ValueIndex x = 0; x < n_; ++x) cells[cell_of_(x)].push_back(x);
-  for (const auto& [cell, members] : cells) {
-    (void)cell;
-    for (size_t i = 0; i < members.size(); ++i) {
-      for (size_t j = i + 1; j < members.size(); ++j) {
+  const CellIndex& index = Index();
+  for (size_t k = 0; k + 1 < index.offsets.size(); ++k) {
+    const ValueIndex* members = index.members.data() + index.offsets[k];
+    const size_t size = index.offsets[k + 1] - index.offsets[k];
+    for (size_t i = 0; i < size; ++i) {
+      for (size_t j = i + 1; j < size; ++j) {
         if (!budget.Consume()) return budget.Exhausted();
         fn(members[i], members[j]);
       }

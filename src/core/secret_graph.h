@@ -22,6 +22,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -144,6 +145,24 @@ class PartitionGraph final : public SecretGraph {
 
   uint64_t CellOf(ValueIndex x) const { return cell_of_(x); }
 
+  /// A read-only run of domain values, in ascending order.
+  struct ValueRun {
+    const ValueIndex* first = nullptr;
+    const ValueIndex* last = nullptr;
+    const ValueIndex* begin() const { return first; }
+    const ValueIndex* end() const { return last; }
+    size_t size() const { return static_cast<size_t>(last - first); }
+    bool empty() const { return first == last; }
+  };
+
+  /// The domain values in `cell`, in domain order; empty for an id no
+  /// value maps to. Served from an immutable cell -> members index that
+  /// the first call builds with one pass over the domain (once per graph,
+  /// safe when several threads race to it), so later calls cost
+  /// O(log #cells), not O(|T|). The index holds one ValueIndex per domain
+  /// value.
+  ValueRun Members(uint64_t cell) const;
+
   /// Optional structural hint: the largest L1 distance across any edge
   /// (i.e. the max cell diameter). Set by UniformGrid; used by the q_sum
   /// closed form (Lemma 6.1) to avoid edge enumeration.
@@ -168,6 +187,19 @@ class PartitionGraph final : public SecretGraph {
   std::string label_;
   std::optional<double> max_edge_l1_;
   std::vector<uint64_t> uniform_blocks_;
+
+  /// Cell -> members in CSR form: cell ids_[k]'s members are
+  /// members_[offsets_[k] .. offsets_[k + 1]), in domain order.
+  struct CellIndex {
+    std::vector<uint64_t> ids;  // distinct cell ids, ascending
+    std::vector<size_t> offsets;
+    std::vector<ValueIndex> members;
+  };
+  /// Builds the index on first use; immutable afterwards.
+  const CellIndex& Index() const;
+
+  mutable std::once_flag index_once_;
+  mutable CellIndex index_;
 };
 
 /// G^{d,theta} under the scaled L1 metric of the domain: edge iff

@@ -143,14 +143,13 @@ double QSizeSensitivity(const SecretGraph& graph) {
 }
 
 CellRestrictedHistogramQuery::CellRestrictedHistogramQuery(
-    const PartitionGraph& partition, const Domain& domain,
-    const std::set<uint64_t>& cells) {
-  for (ValueIndex x = 0; x < domain.size(); ++x) {
-    if (cells.count(partition.CellOf(x)) > 0) {
-      row_of_[x] = included_.size();
-      included_.push_back(x);
-    }
+    const PartitionGraph& partition, const std::set<uint64_t>& cells) {
+  for (uint64_t cell : cells) {
+    const PartitionGraph::ValueRun members = partition.Members(cell);
+    included_.insert(included_.end(), members.begin(), members.end());
   }
+  // Each cell's run is in domain order; cells interleave in the domain.
+  std::sort(included_.begin(), included_.end());
 }
 
 std::vector<double> CellRestrictedHistogramQuery::Evaluate(
@@ -212,8 +211,15 @@ StatusOr<double> ConstrainedCellHistogramSensitivity(
     return Status::FailedPrecondition(
         "per-cell sensitivity requires a partition (G^P) secret graph");
   }
+  if (!policy.has_constraints() || !policy.constraints().AnyPinned()) {
+    // Closed form (see the header): the unconstrained edge maximum.
+    for (uint64_t cell : cells) {
+      if (partition->Members(cell).size() >= 2) return 2.0;
+    }
+    return 0.0;
+  }
   const std::set<uint64_t> cell_set(cells.begin(), cells.end());
-  CellRestrictedHistogramQuery query(*partition, policy.domain(), cell_set);
+  CellRestrictedHistogramQuery query(*partition, cell_set);
   return ConstrainedLinearQuerySensitivity(query, policy, max_edges,
                                            max_pairs,
                                            max_policy_graph_vertices);

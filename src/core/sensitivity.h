@@ -18,11 +18,11 @@
 #ifndef BLOWFISH_CORE_SENSITIVITY_H_
 #define BLOWFISH_CORE_SENSITIVITY_H_
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/policy.h"
@@ -158,21 +158,23 @@ class ValueWeightedSumQuery final : public LinearQuery {
 /// `cell_histogram` QueryOp and mech/parallel_release.h.
 class CellRestrictedHistogramQuery final : public LinearQuery {
  public:
+  /// Gathers the rows from the partition's cell index (O(rows), not
+  /// O(|T|)).
   CellRestrictedHistogramQuery(const PartitionGraph& partition,
-                               const Domain& domain,
                                const std::set<uint64_t>& cells);
 
   size_t output_dim() const override { return included_.size(); }
   void ForEachColumnEntry(
       ValueIndex x,
       const std::function<void(size_t, double)>& fn) const override {
-    auto it = row_of_.find(x);
-    if (it != row_of_.end()) fn(it->second, 1.0);
+    auto it = std::lower_bound(included_.begin(), included_.end(), x);
+    if (it != included_.end() && *it == x) {
+      fn(static_cast<size_t>(it - included_.begin()), 1.0);
+    }
   }
   double EdgeNorm(ValueIndex x, ValueIndex y) const override {
     if (x == y) return 0.0;
-    return (row_of_.count(x) > 0 ? 1.0 : 0.0) +
-           (row_of_.count(y) > 0 ? 1.0 : 0.0);
+    return (Includes(x) ? 1.0 : 0.0) + (Includes(y) ? 1.0 : 0.0);
   }
   std::vector<double> Evaluate(const Histogram& h) const override;
   std::string name() const override { return "h_cells"; }
@@ -182,8 +184,11 @@ class CellRestrictedHistogramQuery final : public LinearQuery {
   const std::vector<ValueIndex>& included() const { return included_; }
 
  private:
+  bool Includes(ValueIndex x) const {
+    return std::binary_search(included_.begin(), included_.end(), x);
+  }
+
   std::vector<ValueIndex> included_;
-  std::unordered_map<ValueIndex, size_t> row_of_;
 };
 
 /// Generic unconstrained policy-specific sensitivity:
@@ -253,7 +258,11 @@ StatusOr<double> ConstrainedLinearQuerySensitivity(
 /// pays 2 iff its cell is in the set, so S is the heaviest chain of
 /// in-set moves (0 when every included cell is a singleton). Requires
 /// the policy's graph to be a PartitionGraph; handles both constrained
-/// and unconstrained policies.
+/// and unconstrained policies. Without pinned constraints it is the
+/// closed form read off the cell index: every G^P edge lies inside one
+/// cell and moves two included rows iff that cell is in the set, so
+/// S = 2 if some selected cell has >= 2 members and 0 otherwise — no
+/// edge enumeration, so no `max_edges` refusal.
 StatusOr<double> ConstrainedCellHistogramSensitivity(
     const Policy& policy, const std::vector<uint64_t>& cells,
     uint64_t max_edges, uint64_t max_pairs,

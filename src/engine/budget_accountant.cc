@@ -157,7 +157,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeSequential(
   }
   std::lock_guard<std::mutex> lock(mu_);
   SessionState& state = GetOrCreateLocked(session);
-  const double spent = state.ledger.TotalEpsilon();
+  const double spent = state.spent;
   if (spent + epsilon > state.budget + 1e-12) {
     refusals_total_->Increment();
     return Status::ResourceExhausted(
@@ -167,7 +167,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeSequential(
   }
   BudgetReceipt receipt;
   if (epsilon > 0.0) {
-    BLOWFISH_RETURN_IF_ERROR(state.ledger.SpendSequential(epsilon, label));
+    state.spent += epsilon;
     receipt.charge_id = next_charge_id_++;
     state.open_charges[receipt.charge_id] = epsilon;
   }
@@ -177,7 +177,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeSequential(
   receipt.label = std::move(label);
   receipt.charged = epsilon;
   receipt.epsilon = epsilon;
-  receipt.remaining = state.budget - state.ledger.TotalEpsilon();
+  receipt.remaining = state.budget - state.spent;
   receipt.budget = state.budget;
   return receipt;
 }
@@ -194,7 +194,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
   const double cost = *std::max_element(epsilons.begin(), epsilons.end());
   std::lock_guard<std::mutex> lock(mu_);
   SessionState& state = GetOrCreateLocked(session);
-  const double spent = state.ledger.TotalEpsilon();
+  const double spent = state.spent;
   if (spent + cost > state.budget + 1e-12) {
     refusals_total_->Increment();
     return Status::ResourceExhausted(
@@ -204,7 +204,14 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
   }
   BudgetReceipt receipt;
   if (cost > 0.0) {
-    BLOWFISH_RETURN_IF_ERROR(state.ledger.SpendParallel(epsilons, label));
+    // Every member of a charged group must have a positive epsilon. The
+    // engine refuses such groups before charging; this keeps the
+    // accountant's own contract for direct callers.
+    if (std::any_of(epsilons.begin(), epsilons.end(),
+                    [](double e) { return !(e > 0.0); })) {
+      return Status::InvalidArgument("epsilon must be positive");
+    }
+    state.spent += cost;
     receipt.charge_id = next_charge_id_++;
     state.open_charges[receipt.charge_id] = cost;
   }
@@ -214,7 +221,7 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
   receipt.label = std::move(label);
   receipt.charged = cost;
   receipt.epsilon = cost;
-  receipt.remaining = state.budget - state.ledger.TotalEpsilon();
+  receipt.remaining = state.budget - state.spent;
   receipt.budget = state.budget;
   receipt.parallel = true;
   return receipt;
@@ -243,10 +250,13 @@ Status BudgetAccountant::Refund(const BudgetReceipt& receipt) {
         "receipt claims a charge of " + std::to_string(receipt.charged) +
         " but the ledger recorded " + std::to_string(charge->second));
   }
-  const std::string label =
-      (receipt.label.empty() ? std::string("release") : receipt.label) +
-      " [refund]";
-  BLOWFISH_RETURN_IF_ERROR(state.ledger.Refund(charge->second, label));
+  if (charge->second > state.spent + 1e-12) {
+    return Status::InvalidArgument(
+        "refund of " + std::to_string(charge->second) +
+        " exceeds total recorded loss " + std::to_string(state.spent));
+  }
+  state.spent -= charge->second;
+  if (state.spent < 0.0) state.spent = 0.0;  // absorb float dust
   refunds_total_->Increment();
   eps_refunded_total_->Add(charge->second);
   state.open_charges.erase(charge);
@@ -269,9 +279,8 @@ std::vector<BudgetAccountant::SessionInfo> BudgetAccountant::ListSessions()
   std::vector<SessionInfo> out;
   out.reserve(sessions_.size());
   for (const auto& [name, state] : sessions_) {
-    const double spent = state.ledger.TotalEpsilon();
-    out.push_back(SessionInfo{name, state.budget, spent,
-                              state.budget - spent});
+    out.push_back(SessionInfo{name, state.budget, state.spent,
+                              state.budget - state.spent});
   }
   return out;
 }
@@ -279,14 +288,14 @@ std::vector<BudgetAccountant::SessionInfo> BudgetAccountant::ListSessions()
 double BudgetAccountant::Spent(const std::string& session) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
-  return it == sessions_.end() ? 0.0 : it->second.ledger.TotalEpsilon();
+  return it == sessions_.end() ? 0.0 : it->second.spent;
 }
 
 double BudgetAccountant::Remaining(const std::string& session) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = sessions_.find(session);
   if (it == sessions_.end()) return default_budget_;
-  return it->second.budget - it->second.ledger.TotalEpsilon();
+  return it->second.budget - it->second.spent;
 }
 
 Status BudgetAccountant::Save(std::ostream& out) const {
@@ -360,10 +369,7 @@ Status BudgetAccountant::Load(std::istream& in) {
     // any session it names (re-loading the same ledger is idempotent).
     SessionState state;
     state.budget = entry.budget;
-    if (entry.spent > 0.0) {
-      BLOWFISH_RETURN_IF_ERROR(
-          state.ledger.SpendSequential(entry.spent, "[restored]"));
-    }
+    if (entry.spent > 0.0) state.spent = entry.spent;
     sessions_[entry.name] = std::move(state);
   }
   return Status::OK();
@@ -381,7 +387,7 @@ std::string BudgetAccountant::ToString() const {
   out << "BudgetAccountant (" << sessions_.size() << " sessions)\n";
   for (const auto& [name, state] : sessions_) {
     out << "  session '" << name << "': spent "
-        << state.ledger.TotalEpsilon() << " of " << state.budget << "\n";
+        << state.spent << " of " << state.budget << "\n";
   }
   return out.str();
 }

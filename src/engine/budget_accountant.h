@@ -3,11 +3,11 @@
 // The core-layer PrivacyAccountant (core/privacy_loss.h) is a passive
 // ledger: it records what was spent. A serving system needs the converse —
 // an authority that *refuses* releases which would overspend. The
-// BudgetAccountant owns one ledger per named session (a tenant, analyst,
-// or workload), each with its own epsilon cap against the engine's single
-// policy, and charges spends atomically: sequential composition adds
-// (Thm 4.1), a parallel group of structurally disjoint releases costs only
-// its max (Thms 4.2/4.3).
+// BudgetAccountant keeps one running spend total per named session (a
+// tenant, analyst, or workload), each with its own epsilon cap against
+// the engine's single policy, and charges spends atomically: sequential
+// composition adds (Thm 4.1), a parallel group of structurally disjoint
+// releases costs only its max (Thms 4.2/4.3).
 
 #ifndef BLOWFISH_ENGINE_BUDGET_ACCOUNTANT_H_
 #define BLOWFISH_ENGINE_BUDGET_ACCOUNTANT_H_
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/privacy_loss.h"
 #include "obs/audit.h"
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -163,7 +162,10 @@ class BudgetAccountant {
  private:
   struct SessionState {
     double budget = 0.0;
-    PrivacyAccountant ledger;
+    /// Running total: + epsilon per sequential charge, + max per parallel
+    /// group, - refunds (clamped at 0). O(1) per session however many
+    /// charges it serves.
+    double spent = 0.0;
     /// charge_id -> charged epsilon, for charges not yet refunded.
     std::map<uint64_t, double> open_charges;
   };

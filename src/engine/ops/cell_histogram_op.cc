@@ -50,15 +50,14 @@ class CellHistogramOp final : public QueryOp {
       return Status::FailedPrecondition(
           "cell_histogram requires a partition (G^P) secret graph");
     }
-    std::set<uint64_t> missing(cells_.begin(), cells_.end());
-    for (ValueIndex x = 0; x < policy.domain().size(); ++x) {
-      missing.erase(partition->CellOf(x));
-      if (missing.empty()) break;
-    }
-    if (!missing.empty()) {
-      return Status::InvalidArgument(
-          "cell " + std::to_string(*missing.begin()) +
-          " contains no domain values (unknown partition cell?)");
+    // The smallest unknown id is named, whatever order the request used.
+    const std::set<uint64_t> cells(cells_.begin(), cells_.end());
+    for (uint64_t cell : cells) {
+      if (partition->Members(cell).empty()) {
+        return Status::InvalidArgument(
+            "cell " + std::to_string(cell) +
+            " contains no domain values (unknown partition cell?)");
+      }
     }
     return Status::OK();
   }
@@ -75,7 +74,7 @@ class CellHistogramOp final : public QueryOp {
   StatusOr<double> ComputeSensitivity(
       const Policy& policy, const SensitivityEnv& env) const override {
     // Handles constrained and unconstrained policies alike; for the
-    // latter it reduces to the generic edge maximum.
+    // latter it is the closed form read off the cell index.
     return ConstrainedCellHistogramSensitivity(
         policy, cells_, env.max_edges, env.max_pairs,
         env.max_policy_graph_vertices);
@@ -94,8 +93,7 @@ class CellHistogramOp final : public QueryOp {
           "cell_histogram requires a partition (G^P) secret graph");
     }
     std::set<uint64_t> cells(cells_.begin(), cells_.end());
-    CellRestrictedHistogramQuery query(*partition, ctx.policy.domain(),
-                                       cells);
+    CellRestrictedHistogramQuery query(*partition, cells);
     std::vector<double> truth = query.Evaluate(ctx.hist);
     if (ctx.sensitivity == 0.0) return truth;
     return LaplaceRelease(truth, ctx.sensitivity, ctx.epsilon, rng);

@@ -94,17 +94,13 @@ StatusOr<ParallelCellHistogramResult> ParallelCellHistogramRelease(
   }
   // Cells must exist (name at least one domain value) and be disjoint
   // across groups (Thm 4.2: an individual's cell is public under G^P).
-  std::unordered_set<uint64_t> known;
-  for (ValueIndex x = 0; x < policy.domain().size(); ++x) {
-    known.insert(partition->CellOf(x));
-  }
   std::unordered_set<uint64_t> seen;
   for (const auto& group : cell_groups) {
     if (group.empty()) {
       return Status::InvalidArgument("cell groups must be non-empty");
     }
     for (uint64_t c : group) {
-      if (known.count(c) == 0) {
+      if (partition->Members(c).empty()) {
         return Status::InvalidArgument(
             "cell " + std::to_string(c) + " contains no domain values");
       }
@@ -166,7 +162,7 @@ StatusOr<ParallelCellHistogramResult> ParallelCellHistogramRelease(
     }
     const std::set<uint64_t> cells(cell_groups[g].begin(),
                                    cell_groups[g].end());
-    CellRestrictedHistogramQuery query(*partition, policy.domain(), cells);
+    CellRestrictedHistogramQuery query(*partition, cells);
     std::vector<double> truth = query.Evaluate(hist);
     if (sensitivity == 0.0) {
       result.group_histograms.push_back(std::move(truth));

@@ -50,13 +50,15 @@ Status PlanRelease(const Policy& policy, double epsilon,
   return Status::OK();
 }
 
-std::vector<std::vector<double>> EmptyLevels(size_t depth) {
-  std::vector<std::vector<double>> levels(depth + 1);
-  for (size_t l = 0; l <= depth; ++l) {
-    size_t w = size_t{1} << l;
-    levels[l].assign(w * w, 0.0);
-  }
-  return levels;
+/// Position of level `level`'s first node in level order:
+/// 4^0 + ... + 4^(level-1) = (4^level - 1) / 3.
+size_t LevelOffset(size_t level) {
+  return ((size_t{1} << (2 * level)) - 1) / 3;
+}
+
+/// Zeroed counts for every node of a depth-`depth` tree, in level order.
+std::vector<double> EmptyTree(size_t depth) {
+  return std::vector<double>(LevelOffset(depth + 1), 0.0);
 }
 
 }  // namespace
@@ -86,19 +88,20 @@ size_t QuadtreeMechanism::ExactLevelsForPolicy(const Policy& policy,
 }
 
 StatusOr<QuadtreeMechanism> QuadtreeMechanism::FinishRelease(
-    std::vector<std::vector<double>> levels, size_t depth, uint64_t side,
-    const Policy& policy, double epsilon, Random& rng) {
+    std::vector<double> counts, size_t depth, const Policy& policy,
+    double epsilon, Random& rng) {
   // Aggregate upwards.
   for (size_t l = depth; l-- > 0;) {
-    size_t w = size_t{1} << l;
-    size_t cw = w * 2;
+    const size_t w = size_t{1} << l;
+    const size_t cw = w * 2;
+    double* parent = counts.data() + LevelOffset(l);
+    const double* child = counts.data() + LevelOffset(l + 1);
     for (size_t i = 0; i < w; ++i) {
       for (size_t j = 0; j < w; ++j) {
-        levels[l][i * w + j] =
-            levels[l + 1][(2 * i) * cw + (2 * j)] +
-            levels[l + 1][(2 * i) * cw + (2 * j + 1)] +
-            levels[l + 1][(2 * i + 1) * cw + (2 * j)] +
-            levels[l + 1][(2 * i + 1) * cw + (2 * j + 1)];
+        parent[i * w + j] = child[(2 * i) * cw + (2 * j)] +
+                            child[(2 * i) * cw + (2 * j + 1)] +
+                            child[(2 * i + 1) * cw + (2 * j)] +
+                            child[(2 * i + 1) * cw + (2 * j + 1)];
       }
     }
   }
@@ -110,17 +113,16 @@ StatusOr<QuadtreeMechanism> QuadtreeMechanism::FinishRelease(
   // free-levels optimization entirely: a neighbour step's compensating
   // moves may cross any partition cell, so no level is exact (the
   // caller's group-privacy epsilon scaling covers the chained moves).
+  // The draws themselves are made on read, in Decompose, from one key
+  // per release.
   const bool pinned =
       policy.has_constraints() && policy.constraints().AnyPinned();
   const size_t exact = pinned ? 0 : ExactLevelsForPolicy(policy, depth);
   const size_t noised = depth - exact;
-  if (noised > 0) {
-    const double scale = 2.0 * static_cast<double>(noised) / epsilon;
-    for (size_t l = exact + 1; l <= depth; ++l) {
-      for (double& v : levels[l]) v += rng.Laplace(scale);
-    }
-  }
-  return QuadtreeMechanism(side, exact, std::move(levels));
+  const double scale =
+      noised > 0 ? 2.0 * static_cast<double>(noised) / epsilon : 0.0;
+  const uint64_t key = rng.engine()();
+  return QuadtreeMechanism(depth, exact, scale, key, std::move(counts));
 }
 
 StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
@@ -133,13 +135,14 @@ StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
   if (&data.domain() != &dom && data.domain().size() != dom.size()) {
     return Status::InvalidArgument("dataset domain mismatch");
   }
-  std::vector<std::vector<double>> levels = EmptyLevels(depth);
+  std::vector<double> counts = EmptyTree(depth);
+  double* leaf = counts.data() + LevelOffset(depth);
   for (ValueIndex t : data.tuples()) {
     uint64_t x = dom.Coordinate(t, 0);
     uint64_t y = dom.Coordinate(t, 1);
-    levels[depth][x * side + y] += 1.0;
+    leaf[x * side + y] += 1.0;
   }
-  return FinishRelease(std::move(levels), depth, side, policy, epsilon, rng);
+  return FinishRelease(std::move(counts), depth, policy, epsilon, rng);
 }
 
 StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
@@ -152,31 +155,34 @@ StatusOr<QuadtreeMechanism> QuadtreeMechanism::Release(
   if (hist.size() != dom.size()) {
     return Status::InvalidArgument("histogram size does not match domain");
   }
-  std::vector<std::vector<double>> levels = EmptyLevels(depth);
-  for (ValueIndex v = 0; v < dom.size(); ++v) {
-    const double count = hist[v];
-    if (count == 0.0) continue;
-    uint64_t x = dom.Coordinate(v, 0);
-    uint64_t y = dom.Coordinate(v, 1);
-    levels[depth][x * side + y] += count;
+  // The domain is row-major (value x * m1 + y holds coordinates (x, y)),
+  // so each domain row is one contiguous run of a padded leaf row.
+  const uint64_t m0 = dom.attribute(0).cardinality;
+  const uint64_t m1 = dom.attribute(1).cardinality;
+  std::vector<double> counts = EmptyTree(depth);
+  double* leaf = counts.data() + LevelOffset(depth);
+  const double* row = hist.counts().data();
+  for (uint64_t x = 0; x < m0; ++x, row += m1) {
+    std::copy(row, row + m1, leaf + x * side);
   }
-  return FinishRelease(std::move(levels), depth, side, policy, epsilon, rng);
+  return FinishRelease(std::move(counts), depth, policy, epsilon, rng);
 }
 
 double QuadtreeMechanism::Decompose(size_t level, size_t cx, size_t cy,
                                     size_t x0, size_t x1, size_t y0,
                                     size_t y1) const {
-  const size_t d = depth();
-  const size_t side = size_t{1} << (d - level);
+  const size_t side = size_t{1} << (depth_ - level);
   const size_t nx0 = cx * side, nx1 = nx0 + side - 1;
   const size_t ny0 = cy * side, ny1 = ny0 + side - 1;
   if (nx1 < x0 || nx0 > x1 || ny1 < y0 || ny0 > y1) return 0.0;  // disjoint
   if (x0 <= nx0 && nx1 <= x1 && y0 <= ny0 && ny1 <= y1) {
-    // Fully covered: use this node's released value.
-    size_t w = size_t{1} << level;
-    return levels_[level][cx * w + cy];
+    // Fully covered: use this node's released value, drawing its noise
+    // now. The draw is keyed by the node, so every read sees one value.
+    const size_t node = LevelOffset(level) + cx * (size_t{1} << level) + cy;
+    if (level <= exact_levels_) return counts_[node];
+    return counts_[node] + KeyedLaplace(key_, node, scale_);
   }
-  assert(level < d);  // leaves are single cells: covered or disjoint
+  assert(level < depth_);  // leaves are single cells: covered or disjoint
   double total = 0.0;
   for (size_t dx = 0; dx < 2; ++dx) {
     for (size_t dy = 0; dy < 2; ++dy) {
@@ -191,8 +197,9 @@ StatusOr<double> QuadtreeMechanism::RangeCount(const Rectangle& rect) const {
   if (rect.lo.size() != 2 || rect.hi.size() != 2) {
     return Status::InvalidArgument("quadtree rectangles are 2-D");
   }
+  const size_t width = size_t{1} << depth_;  // padded side
   if (rect.lo[0] > rect.hi[0] || rect.lo[1] > rect.hi[1] ||
-      rect.hi[0] >= width_ || rect.hi[1] >= width_) {
+      rect.hi[0] >= width || rect.hi[1] >= width) {
     return Status::OutOfRange("rectangle outside the padded grid");
   }
   return Decompose(0, 0, 0, rect.lo[0], rect.hi[0], rect.lo[1], rect.hi[1]);

@@ -17,6 +17,18 @@
 // released *exactly*; only the d - l* deeper levels need noise. This is
 // the spatial analogue of Sec 5's "the histogram of P can be released
 // without any noise".
+//
+// Noise is drawn per node on read. A release keeps the exact counts and
+// one 64-bit key taken from the caller's Random; a noised node's value
+// is its count plus KeyedLaplace(key, node's level-order index, scale)
+// (util/random.h), computed when a rectangle's canonical cover reads it.
+// The released synopsis has the same distribution as noising the whole
+// tree up front: every node still carries its own independent
+// Lap(2 (#noised levels) / eps) draw, fixed by the key, so repeated
+// RangeCount calls on one release read identical node values and stay
+// consistent with each other; and nothing reads a node outside a cover,
+// so the draws never made are never observed. A query costs
+// O(cover) noise draws instead of O(4^d).
 
 #ifndef BLOWFISH_MECH_QUADTREE_H_
 #define BLOWFISH_MECH_QUADTREE_H_
@@ -72,7 +84,7 @@ class QuadtreeMechanism {
   StatusOr<double> RangeCount(const Rectangle& rect) const;
 
   /// Depth d (levels 0..d).
-  size_t depth() const { return levels_.size() - 1; }
+  size_t depth() const { return depth_; }
 
   /// The deepest level released exactly (0 = only the public total).
   size_t exact_levels() const { return exact_levels_; }
@@ -83,26 +95,33 @@ class QuadtreeMechanism {
   static size_t ExactLevelsForPolicy(const Policy& policy, size_t depth);
 
  private:
-  QuadtreeMechanism(size_t width, size_t exact_levels,
-                    std::vector<std::vector<double>> levels)
-      : width_(width), exact_levels_(exact_levels),
-        levels_(std::move(levels)) {}
+  QuadtreeMechanism(size_t depth, size_t exact_levels, double scale,
+                    uint64_t key, std::vector<double> counts)
+      : depth_(depth), exact_levels_(exact_levels), scale_(scale),
+        key_(key), counts_(std::move(counts)) {}
 
   /// Shared tail of both Release overloads: aggregates the filled leaf
-  /// level upwards, picks the exact levels, noises the rest.
-  static StatusOr<QuadtreeMechanism> FinishRelease(
-      std::vector<std::vector<double>> levels, size_t depth, uint64_t side,
-      const Policy& policy, double epsilon, Random& rng);
+  /// level upwards, picks the exact levels and the noise scale, and takes
+  /// the release's noise key from `rng`.
+  static StatusOr<QuadtreeMechanism> FinishRelease(std::vector<double> counts,
+                                                   size_t depth,
+                                                   const Policy& policy,
+                                                   double epsilon,
+                                                   Random& rng);
 
   /// Sum of released node values covering [x0,x1] x [y0,y1] at the
   /// deepest usable granularity; recursive canonical decomposition.
   double Decompose(size_t level, size_t cx, size_t cy, size_t x0, size_t x1,
                    size_t y0, size_t y1) const;
 
-  size_t width_;         // padded side 2^d
+  size_t depth_;         // levels 0..d; padded side 2^d
   size_t exact_levels_;  // levels 0..exact_levels_ are exact
-  /// levels_[l] is a (2^l x 2^l) row-major grid of node values.
-  std::vector<std::vector<double>> levels_;
+  double scale_;         // per-node Laplace scale below the exact levels
+  uint64_t key_;         // keys the per-node noise draws
+  /// Exact node counts in level order: the root, then each level's
+  /// (2^l x 2^l) row-major grid. A node's position here is also the
+  /// counter of its noise draw.
+  std::vector<double> counts_;
 };
 
 }  // namespace blowfish

@@ -5,6 +5,21 @@
 
 namespace blowfish {
 
+namespace {
+
+/// Inverse-CDF Laplace sampling from U uniform in [0, 1): with
+/// u = U - 1/2, Z = -b * sgn(u) * ln(1 - 2|u|).
+double LaplaceFromUniform(double uniform, double scale) {
+  assert(scale > 0.0);
+  double u = uniform - 0.5;
+  // Guard against u == -0.5 producing log(0).
+  if (u <= -0.5) u = std::nextafter(-0.5, 0.0);
+  double sign = (u < 0.0) ? -1.0 : 1.0;
+  return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
+}
+
+}  // namespace
+
 double Random::Uniform() {
   return std::uniform_real_distribution<double>(0.0, 1.0)(gen_);
 }
@@ -25,14 +40,7 @@ bool Random::Bernoulli(double p) {
 }
 
 double Random::Laplace(double scale) {
-  assert(scale > 0.0);
-  // Inverse-CDF sampling: U uniform in (-1/2, 1/2),
-  // Z = -b * sgn(U) * ln(1 - 2|U|).
-  double u = Uniform() - 0.5;
-  // Guard against u == -0.5 producing log(0).
-  if (u <= -0.5) u = std::nextafter(-0.5, 0.0);
-  double sign = (u < 0.0) ? -1.0 : 1.0;
-  return -scale * sign * std::log(1.0 - 2.0 * std::fabs(u));
+  return LaplaceFromUniform(Uniform(), scale);
 }
 
 std::vector<double> Random::LaplaceVector(size_t n, double scale) {
@@ -54,6 +62,13 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   return x ^ (x >> 31);
+}
+
+double KeyedLaplace(uint64_t key, uint64_t counter, double scale) {
+  // The top 53 bits of the mixed word, scaled by 2^-53: every double in
+  // [0, 1 - 2^-53] on the 2^-53 lattice, equally likely.
+  const uint64_t bits = SplitMix64(key ^ SplitMix64(counter)) >> 11;
+  return LaplaceFromUniform(static_cast<double>(bits) * 0x1.0p-53, scale);
 }
 
 Random Random::Fork(uint64_t stream_id) const {

@@ -21,6 +21,16 @@ namespace blowfish {
 /// implementation, so derivations cannot silently diverge.
 uint64_t SplitMix64(uint64_t x);
 
+/// Draw `counter` of the Laplace(scale) stream keyed by `key`, as a pure
+/// function: Random::Laplace's inverse CDF applied to the 53-bit uniform
+/// (SplitMix64(key ^ SplitMix64(counter)) >> 11) * 2^-53. Distinct
+/// counters under one key give independent draws, so a caller can read
+/// any draw of the stream directly, in any order and as often as it
+/// likes, without materializing the others. The uint64 -> double
+/// conversion is explicit, so the uniform does not depend on the
+/// standard library. Requires scale > 0.
+double KeyedLaplace(uint64_t key, uint64_t counter, double scale);
+
 /// Deterministically seedable pseudo-random generator with the samplers the
 /// library needs. Not thread-safe; use one instance per thread.
 class Random {

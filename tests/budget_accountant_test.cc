@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "util/random.h"
 
 namespace blowfish {
 namespace {
@@ -189,6 +194,66 @@ TEST(BudgetAccountantTest, ConcurrentChargesNeverOverspend) {
   // first 100 (in arrival order) may land.
   EXPECT_LE(accountant.Spent(""), 1.0 + 1e-9);
   EXPECT_NEAR(accountant.Spent(""), 1.0, 1e-9);
+}
+
+// The accountant keeps one running total per session, whatever the
+// session's history: after 10^5 mixed charges, settles and refunds it
+// must equal a running sum kept beside it with the same arithmetic (+eps,
+// +max per group, -refund clamped at 0), bit for bit.
+TEST(BudgetAccountantTest, SpentEqualsRunningSumAfterManyOperations) {
+  const double budget = 1e6;
+  BudgetAccountant accountant(budget);
+  const std::vector<std::string> sessions = {"a", "b"};
+  std::vector<double> expected(sessions.size(), 0.0);
+  std::vector<std::vector<BudgetReceipt>> open(sessions.size());
+  Random rng(2014);
+  for (int op = 0; op < 100000; ++op) {
+    const size_t s = static_cast<size_t>(rng.UniformInt(0, 1));
+    const double pick = rng.Uniform();
+    if (pick < 0.45) {
+      const double eps = rng.Uniform(1e-3, 1.0);
+      auto receipt = accountant.ChargeSequential(sessions[s], eps);
+      ASSERT_TRUE(receipt.ok());
+      expected[s] += eps;
+      open[s].push_back(*receipt);
+    } else if (pick < 0.65) {
+      std::vector<double> group(static_cast<size_t>(rng.UniformInt(1, 4)));
+      for (double& e : group) e = rng.Uniform(1e-3, 1.0);
+      auto receipt = accountant.ChargeParallel(sessions[s], group);
+      ASSERT_TRUE(receipt.ok());
+      expected[s] += *std::max_element(group.begin(), group.end());
+      open[s].push_back(*receipt);
+    } else if (!open[s].empty()) {
+      const size_t k = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(open[s].size()) - 1));
+      const BudgetReceipt receipt = open[s][k];
+      open[s][k] = open[s].back();
+      open[s].pop_back();
+      if (pick < 0.85) {
+        ASSERT_TRUE(accountant.Refund(receipt).ok());
+        expected[s] -= receipt.charged;
+        if (expected[s] < 0.0) expected[s] = 0.0;
+      } else {
+        accountant.Settle(receipt);
+      }
+    }
+  }
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    EXPECT_EQ(accountant.Spent(sessions[s]), expected[s]);
+    EXPECT_EQ(accountant.Remaining(sessions[s]), budget - expected[s]);
+  }
+  // The ledger text carries the same totals and reloads bit for bit.
+  std::stringstream saved;
+  ASSERT_TRUE(accountant.Save(saved).ok());
+  BudgetAccountant restored(budget);
+  std::stringstream reread(saved.str());
+  ASSERT_TRUE(restored.Load(reread).ok());
+  for (size_t s = 0; s < sessions.size(); ++s) {
+    EXPECT_EQ(restored.Spent(sessions[s]), expected[s]);
+  }
+  std::stringstream resaved;
+  ASSERT_TRUE(restored.Save(resaved).ok());
+  EXPECT_EQ(resaved.str(), saved.str());
 }
 
 }  // namespace

@@ -108,6 +108,82 @@ TEST(QuadtreeTest, FullCoverageQueryIsRootExact) {
   EXPECT_DOUBLE_EQ(whole, 500.0);
 }
 
+// --- Lazy keyed noise ---
+
+/// Empirical variance of one rectangle's answer over fresh releases.
+double AnswerVariance(const Dataset& data, const Policy& p, double eps,
+                      const Rectangle& q, int reps, uint64_t seed) {
+  Random rng(seed);
+  QuadtreeOptions opts;
+  std::vector<double> answers;
+  for (int rep = 0; rep < reps; ++rep) {
+    auto m = QuadtreeMechanism::Release(data, p, eps, opts, rng).value();
+    answers.push_back(m.RangeCount(q).value());
+  }
+  return Variance(answers);
+}
+
+// Noise drawn on read still gives each cover node its own independent
+// Laplace(b) draw: a rectangle whose canonical cover is k nodes has
+// variance k * 2 b^2. On an 8 x 8 full-domain tree (d = 3, all three
+// levels below the root noised) b = 2 * 3 / eps.
+TEST(QuadtreeTest, AnswerVarianceIsCoverSizeTimesNodeVariance) {
+  auto dom = MakeGrid(8);
+  Dataset data = UniformPoints(dom, 200, 21);
+  Policy p = Policy::FullDomain(dom).value();
+  const double eps = 1.0;
+  const double b = 2.0 * 3.0 / eps;
+  const int reps = 20000;
+  // Laplace has excess kurtosis 3, so the sample variance's relative
+  // standard error is about sqrt(5 / reps) = 1.6%; allow 5 of them.
+  // One level-1 node: k = 1.
+  EXPECT_NEAR(AnswerVariance(data, p, eps, Rectangle{{0, 0}, {3, 3}}, reps,
+                             22) / (2.0 * b * b),
+              1.0, 0.08);
+  // Two level-2 siblings (the top half of level-1 node (0, 0)): k = 2.
+  EXPECT_NEAR(AnswerVariance(data, p, eps, Rectangle{{0, 0}, {1, 3}}, reps,
+                             23) / (2.0 * b * b),
+              2.0, 0.16);
+}
+
+// One release is one synopsis: every read of a node sees the same draw.
+TEST(QuadtreeTest, ReadsOfOneReleaseAreConsistent) {
+  auto dom = MakeGrid(8);
+  Dataset data = UniformPoints(dom, 300, 24);
+  Policy p = Policy::FullDomain(dom).value();
+  Random rng(25);
+  auto m = QuadtreeMechanism::Release(data, p, 0.5, QuadtreeOptions{}, rng)
+               .value();
+  const Rectangle q{{1, 2}, {6, 5}};
+  const double first = m.RangeCount(q).value();
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(m.RangeCount(q).value(), first);
+  // Level-1 nodes (0, 0) and (1, 0) are exactly the cover of their
+  // union, so the union reads the same two draws the halves do.
+  const double left = m.RangeCount(Rectangle{{0, 0}, {3, 3}}).value();
+  const double right = m.RangeCount(Rectangle{{4, 0}, {7, 3}}).value();
+  EXPECT_EQ(m.RangeCount(Rectangle{{0, 0}, {7, 3}}).value(), left + right);
+}
+
+// Each release takes its own key from the caller's generator.
+TEST(QuadtreeTest, SuccessiveReleasesDiffer) {
+  auto dom = MakeGrid(8);
+  Dataset data = UniformPoints(dom, 300, 26);
+  Policy p = Policy::FullDomain(dom).value();
+  Random rng(27);
+  const Rectangle q{{0, 0}, {3, 3}};
+  auto a = QuadtreeMechanism::Release(data, p, 0.5, QuadtreeOptions{}, rng)
+               .value();
+  auto b = QuadtreeMechanism::Release(data, p, 0.5, QuadtreeOptions{}, rng)
+               .value();
+  EXPECT_NE(a.RangeCount(q).value(), b.RangeCount(q).value());
+  // The same seed replays the same pair of releases.
+  Random replay(27);
+  auto a2 =
+      QuadtreeMechanism::Release(data, p, 0.5, QuadtreeOptions{}, replay)
+          .value();
+  EXPECT_EQ(a2.RangeCount(q).value(), a.RangeCount(q).value());
+}
+
 // --- Partition-policy exact levels ---
 
 TEST(QuadtreeTest, ExactLevelsForAlignedPartition) {

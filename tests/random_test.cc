@@ -160,5 +160,43 @@ TEST(RandomTest, StreamForkDiffersFromRootStream) {
   EXPECT_LT(equal, 5);
 }
 
+// --- KeyedLaplace ---
+
+// Pinned draws: the keyed stream must not move when the code around it
+// does, or a seed would stop reproducing its releases.
+TEST(KeyedLaplaceTest, GoldenValues) {
+  EXPECT_DOUBLE_EQ(KeyedLaplace(0, 0, 1.0), 0.36369520375363729);
+  EXPECT_DOUBLE_EQ(KeyedLaplace(0, 1, 1.0), -0.30601030463028162);
+  EXPECT_DOUBLE_EQ(KeyedLaplace(42, 7, 2.5), -0.36369330478677409);
+  EXPECT_DOUBLE_EQ(KeyedLaplace(0x9E3779B97F4A7C15ULL, 87380, 6.0), 4.9423539293838008);
+}
+
+TEST(KeyedLaplaceTest, PureFunctionOfKeyAndCounter) {
+  EXPECT_EQ(KeyedLaplace(5, 9, 3.0), KeyedLaplace(5, 9, 3.0));
+  EXPECT_NE(KeyedLaplace(5, 9, 3.0), KeyedLaplace(5, 10, 3.0));
+  EXPECT_NE(KeyedLaplace(5, 9, 3.0), KeyedLaplace(6, 9, 3.0));
+  // The scale multiplies one standard draw.
+  EXPECT_DOUBLE_EQ(KeyedLaplace(5, 9, 3.0), 3.0 * KeyedLaplace(5, 9, 1.0));
+}
+
+// Laplace(b): mean 0, variance 2 b^2, P(|Z| > t) = exp(-t / b), and
+// neighbouring counters uncorrelated.
+TEST(KeyedLaplaceTest, Moments) {
+  const double b = 1.5;
+  const uint64_t n = 200000;
+  std::vector<double> draws(n);
+  for (uint64_t i = 0; i < n; ++i) draws[i] = KeyedLaplace(77, i, b);
+  EXPECT_NEAR(Mean(draws), 0.0, 0.03);
+  EXPECT_NEAR(Variance(draws) / (2.0 * b * b), 1.0, 0.03);
+  size_t beyond = 0;
+  double lag1 = 0.0;
+  for (uint64_t i = 0; i < n; ++i) {
+    if (std::fabs(draws[i]) > 2.0 * b) ++beyond;
+    if (i > 0) lag1 += draws[i] * draws[i - 1];
+  }
+  EXPECT_NEAR(static_cast<double>(beyond) / n, std::exp(-2.0), 0.005);
+  EXPECT_NEAR(lag1 / (n - 1) / (2.0 * b * b), 0.0, 0.02);
+}
+
 }  // namespace
 }  // namespace blowfish
