@@ -239,23 +239,6 @@ StatusOr<bool> ConstraintSet::IsSparse(const SecretGraph& graph,
   return sparse;
 }
 
-StatusOr<bool> ConstraintSet::HasCriticalPair(size_t query_index,
-                                              const SecretGraph& graph,
-                                              uint64_t max_edges) const {
-  if (query_index >= queries_.size()) {
-    return Status::OutOfRange("query index out of range");
-  }
-  bool critical = false;
-  Status status = graph.ForEachEdge(
-      [this, query_index, &critical](ValueIndex x, ValueIndex y) {
-        if (critical) return;
-        if (queries_[query_index].CriticalPair(x, y)) critical = true;
-      },
-      max_edges);
-  BLOWFISH_RETURN_IF_ERROR(status);
-  return critical;
-}
-
 // ---------------------------------------------------------------------------
 // Per-cell critical sets
 
@@ -339,6 +322,26 @@ StatusOr<CellCriticalSets> ComputeCellCriticalSets(
     std::sort(queries.begin(), queries.end());
   }
   return out;
+}
+
+bool CellGroupsSeparateComponents(
+    const CellCriticalSets& critical_sets,
+    const std::vector<std::vector<uint64_t>>& member_cells) {
+  for (const std::vector<uint64_t>& component :
+       critical_sets.component_cells) {
+    size_t touched = 0;
+    for (const std::vector<uint64_t>& cells : member_cells) {
+      bool intersects = false;
+      for (uint64_t c : cells) {
+        if (std::binary_search(component.begin(), component.end(), c)) {
+          intersects = true;
+          break;
+        }
+      }
+      if (intersects && ++touched > 1) return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace blowfish

@@ -159,12 +159,6 @@ class ConstraintSet {
   /// core/policy_graph.h.
   StatusOr<bool> IsSparse(const SecretGraph& graph, uint64_t max_edges) const;
 
-  /// crit(q_i) != empty (Sec 4.1): some edge of G changes q_i's answer.
-  /// Parallel composition across disjoint id-subsets is safe iff every
-  /// constraint has an empty critical set (Thm 4.3 with uniform secrets).
-  StatusOr<bool> HasCriticalPair(size_t query_index, const SecretGraph& graph,
-                                 uint64_t max_edges) const;
-
  private:
   std::vector<CountQuery> queries_;
   std::vector<std::optional<uint64_t>> answers_;
@@ -184,7 +178,7 @@ class ConstraintSet {
 /// one component), contradicting minimality (Def 4.1, condition 3) if a
 /// second component were touched. This is what makes parallel
 /// composition over cell-disjoint queries provable on constrained
-/// policies (core/privacy_loss.h, ConstrainedParallelCellsValid).
+/// policies (CellGroupsSeparateComponents below).
 struct CellCriticalSets {
   /// critical_cells[i]: sorted cells on which constraint i has a
   /// critical edge (empty iff crit(q_i) is empty under G^P; always
@@ -208,6 +202,15 @@ struct CellCriticalSets {
 StatusOr<CellCriticalSets> ComputeCellCriticalSets(
     const ConstraintSet& constraints, const PartitionGraph& graph,
     uint64_t max_edges);
+
+/// Refined Thm 4.3 for cell-restricted queries under G^P: true iff no
+/// coupled component of `critical_sets` intersects two members' cell
+/// sets, the condition under which a parallel group of pairwise-disjoint
+/// cell sets costs max(eps). The engine memoizes the critical sets per
+/// policy and calls this per group.
+bool CellGroupsSeparateComponents(
+    const CellCriticalSets& critical_sets,
+    const std::vector<std::vector<uint64_t>>& member_cells);
 
 }  // namespace blowfish
 

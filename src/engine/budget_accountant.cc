@@ -204,13 +204,6 @@ StatusOr<BudgetReceipt> BudgetAccountant::ChargeParallel(
   }
   BudgetReceipt receipt;
   if (cost > 0.0) {
-    // Every member of a charged group must have a positive epsilon. The
-    // engine refuses such groups before charging; this keeps the
-    // accountant's own contract for direct callers.
-    if (std::any_of(epsilons.begin(), epsilons.end(),
-                    [](double e) { return !(e > 0.0); })) {
-      return Status::InvalidArgument("epsilon must be positive");
-    }
     state.spent += cost;
     receipt.charge_id = next_charge_id_++;
     state.open_charges[receipt.charge_id] = cost;

@@ -1,8 +1,6 @@
-// Thread-safe epsilon budget enforcement for the serving layer.
-//
-// The core-layer PrivacyAccountant (core/privacy_loss.h) is a passive
-// ledger: it records what was spent. A serving system needs the converse —
-// an authority that *refuses* releases which would overspend. The
+// Thread-safe epsilon budget enforcement for the serving layer: the one
+// ledger of composed privacy loss (Sec 4.1). It is an authority that
+// *refuses* releases which would overspend, not a passive record. The
 // BudgetAccountant keeps one running spend total per named session (a
 // tenant, analyst, or workload), each with its own epsilon cap against
 // the engine's single policy, and charges spends atomically: sequential
@@ -89,8 +87,9 @@ class BudgetAccountant {
 
   /// Charges a parallel group (Thms 4.2/4.3: the group costs
   /// max(epsilons)). The caller is responsible for having validated
-  /// structural disjointness; see ReleaseEngine. Returns one receipt for
-  /// the whole group.
+  /// structural disjointness; see ReleaseEngine. A member may cost 0 (a
+  /// free exact release, which does not move the max); negative
+  /// epsilons are refused. Returns one receipt for the whole group.
   StatusOr<BudgetReceipt> ChargeParallel(const std::string& session,
                                          const std::vector<double>& epsilons,
                                          std::string label = "");

@@ -10,9 +10,9 @@
 // of a (G, Q)-neighbour step pays 2 iff its cell is in the set, so the
 // sensitivity is the weighted Thm 8.2 bound of
 // ConstrainedCellHistogramSensitivity (the per-cell critical-set
-// analysis), and the engine proves a parallel group disjoint with
-// ConstrainedParallelCellsValid instead of demanding empty critical
-// sets.
+// analysis), and the engine admits a parallel group with
+// ComputeCellCriticalSets + CellGroupsSeparateComponents
+// (core/constraints.h) instead of demanding empty critical sets.
 
 #include <memory>
 #include <set>
@@ -81,7 +81,10 @@ class CellHistogramOp final : public QueryOp {
   }
 
   StatusOr<std::vector<uint64_t>> ParallelCells() const override {
-    return cells_;
+    // Distinct cells: `cells=0,0` reads cell 0 once, so it must not
+    // count as overlapping itself in the group's disjointness check.
+    const std::set<uint64_t> cells(cells_.begin(), cells_.end());
+    return std::vector<uint64_t>(cells.begin(), cells.end());
   }
 
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,

@@ -8,7 +8,7 @@
 #include <set>
 #include <utility>
 
-#include "core/privacy_loss.h"
+#include "core/constraints.h"
 #include "core/secret_graph.h"
 #include "core/sensitivity.h"
 #include "util/thread_pool.h"
@@ -368,8 +368,8 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       // any cell, so several members' histograms may change in one
       // step; every member is therefore noised at the shared
       // union-cells sensitivity (core/sensitivity.h,
-      // ConstrainedUnionCellsSensitivity — one definition shared with
-      // mech/parallel_release.cc), cached under the sorted union shape.
+      // ConstrainedUnionCellsSensitivity), cached under the sorted union
+      // shape.
       // Unconstrained groups keep their per-member scales (a neighbour
       // is one in-cell move; Thm 4.2).
       std::string shape = "h_cells[union";

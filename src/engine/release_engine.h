@@ -45,9 +45,10 @@
 // partition secret graph (an individual's cell is public under G^P, so
 // disjoint cell sets touch disjoint individuals, Thm 4.2), and on a
 // constrained policy the group must pass the refined Thm 4.3 check
-// (core/privacy_loss.h, ConstrainedParallelCellsValid): no coupled
-// component of the per-cell critical-set analysis may intersect two
-// members' cell sets. Constraints with non-empty critical sets are fine
+// (core/constraints.h: ComputeCellCriticalSets, memoized per engine,
+// then CellGroupsSeparateComponents per group): no coupled component of
+// the per-cell critical-set analysis may intersect two members' cell
+// sets. Constraints with non-empty critical sets are fine
 // as long as each one's critical cells stay within a single member (or
 // outside the group entirely). Admitted constrained groups are noised
 // at the shared union-cells sensitivity rather than per member: a

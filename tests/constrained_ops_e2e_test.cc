@@ -414,5 +414,72 @@ TEST(ConstrainedOpsE2ETest, StraddlingGroupRefusedCoherentGroupServed) {
   EXPECT_DOUBLE_EQ(coupled_engine->accountant().Spent(""), 0.0);
 }
 
+TEST(ConstrainedOpsE2ETest, WholeCellCountsAdmitGroupAtMaxEpsilon) {
+  // The closing example of Sec 4.1: Line(6) cut into cells {0, 1, 2}
+  // and {3, 4, 5}, with the count of each whole cell publicly known. No
+  // G^P edge leaves a cell, so no edge changes either count: the
+  // critical sets are empty, no coupled component exists, and the group
+  // is admitted and charged once at max(eps).
+  auto domain = LineDomain(6);
+  Dataset data = MakeData(domain, 60);
+  auto part = PartitionGraph::UniformGrid(domain, {2}).value();
+  ConstraintSet cs;
+  CountQuery in_s("in_S", [](ValueIndex x) { return x < 3; });
+  CountQuery in_ts("in_TS", [](ValueIndex x) { return x >= 3; });
+  const uint64_t s_answer = in_s.Evaluate(data);
+  const uint64_t ts_answer = in_ts.Evaluate(data);
+  cs.AddWithAnswer(std::move(in_s), s_answer);
+  cs.AddWithAnswer(std::move(in_ts), ts_answer);
+  Policy policy =
+      Policy::Create(domain,
+                     std::shared_ptr<const SecretGraph>(part.release()),
+                     std::move(cs))
+          .value();
+  auto engine = MakeEngine(policy, data);
+  auto responses = engine->ServeBatch(ParseBatchRequests(
+      "cell_histogram eps=0.25 cells=0 group=g\n"
+      "cell_histogram eps=0.125 cells=1 group=g\n").value());
+  ASSERT_EQ(responses.size(), 2u);
+  for (const QueryResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.receipt.parallel);
+    EXPECT_EQ(r.values.size(), 3u);
+  }
+  // Both members share the union-cells noise scale.
+  EXPECT_GT(responses[0].sensitivity, 0.0);
+  EXPECT_DOUBLE_EQ(responses[0].sensitivity, responses[1].sensitivity);
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.25);
+}
+
+TEST(ConstrainedOpsE2ETest, ConfinedGroupNoisedAtUnionScale) {
+  // Line(6) cut into cells {0..3} and {4, 5}, one pinned count of
+  // {1, 2}: critical only inside cell 0, so a {0} / {1} group is
+  // admitted. A compensating move can still carry a tuple from cell 0
+  // into cell 1, so both members are noised at the union-cells scale
+  // S = 4 (cell 1 alone would be 2), and the group costs max(eps) once.
+  auto domain = LineDomain(6);
+  Dataset data = Dataset::Create(domain, {0, 2, 3, 4, 4, 5}).value();
+  const std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1};
+  auto part = std::make_shared<const PartitionGraph>(
+      cell_of.size(), [cell_of](ValueIndex x) { return cell_of[x]; },
+      "partition|e2e");
+  ConstraintSet cs;
+  cs.AddWithAnswer(
+      CountQuery("mid", [](ValueIndex x) { return x == 1 || x == 2; }), 1);
+  Policy policy = Policy::Create(domain, part, std::move(cs)).value();
+  auto engine = MakeEngine(policy, data);
+  auto responses = engine->ServeBatch(ParseBatchRequests(
+      "cell_histogram eps=0.5 cells=0 group=g\n"
+      "cell_histogram eps=0.25 cells=1 group=g\n").value());
+  ASSERT_EQ(responses.size(), 2u);
+  for (const QueryResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_DOUBLE_EQ(r.sensitivity, 4.0);
+  }
+  EXPECT_EQ(responses[0].values.size(), 4u);  // values 0..3
+  EXPECT_EQ(responses[1].values.size(), 2u);  // values 4..5
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.5);
+}
+
 }  // namespace
 }  // namespace blowfish

@@ -7,10 +7,11 @@
 //  * soundness of the analytic per-cell sensitivity: it dominates the
 //    exhaustive max over all (G, Q)-neighbour pairs, for cell-restricted
 //    histograms and for value-weighted sums (mean);
-//  * the structural half of the refined Thm 4.3: whenever
-//    ConstrainedParallelCellsValid accepts a grouping, no neighbour
-//    pair's DISCRIMINATIVE set (its G^P-edge changes) touches cells of
-//    two different members;
+//  * the structural half of the refined Thm 4.3: whenever the engine's
+//    admission predicate (ComputeCellCriticalSets followed by
+//    CellGroupsSeparateComponents, the sequence ReleaseEngine::ServeBatch
+//    runs) accepts a grouping, no neighbour pair's DISCRIMINATIVE set
+//    (its G^P-edge changes) touches cells of two different members;
 //  * the accounting half: compensating moves are NOT so confined (they
 //    may land in any cell, Def 4.1 condition 3(b)), so the engine noises
 //    every member of a constrained group at the UNION-cells sensitivity
@@ -42,10 +43,8 @@
 #include "core/neighbors.h"
 #include "core/policy.h"
 #include "core/policy_graph.h"
-#include "core/privacy_loss.h"
 #include "core/secret_graph.h"
 #include "core/sensitivity.h"
-#include "mech/parallel_release.h"
 #include "util/random.h"
 
 namespace blowfish {
@@ -122,6 +121,27 @@ double OracleCellSensitivity(const Policy& policy,
     return h;
   };
   return BruteForceSensitivity(policy, n, 100000, f).value();
+}
+
+/// The engine's admission predicate for a parallel group on a pinned
+/// G^P policy, as ReleaseEngine::ServeBatch runs it: the per-cell
+/// critical sets of the policy's constraints, then the
+/// component-separation test over the members' cell sets.
+bool EngineAdmitsGrouping(const Policy& policy,
+                          const std::vector<std::vector<uint64_t>>& members) {
+  const auto* partition =
+      dynamic_cast<const PartitionGraph*>(&policy.graph());
+  if (partition == nullptr) {
+    ADD_FAILURE() << "parallel groups need a partition secret graph";
+    return false;
+  }
+  auto crit =
+      ComputeCellCriticalSets(policy.constraints(), *partition, kMaxEdges);
+  if (!crit.ok()) {
+    ADD_FAILURE() << crit.status().ToString();
+    return false;
+  }
+  return CellGroupsSeparateComponents(*crit, members);
 }
 
 class ConstrainedParallelTest : public ::testing::TestWithParam<int> {};
@@ -260,10 +280,8 @@ TEST_P(ConstrainedParallelTest, AcceptedGroupingsNeverStraddledByNeighbors) {
   }
   if (members[0].empty() || members[1].empty()) return;
 
-  auto valid =
-      ConstrainedParallelCellsValid(policy, members, kMaxEdges);
-  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
-  if (!*valid) return;  // conservative refusals are always allowed
+  // Conservative refusals are always allowed.
+  if (!EngineAdmitsGrouping(policy, members)) return;
 
   auto neighborhood = EnumerateNeighbors(policy, 2, 100000).value();
   for (const auto& [i, j] : neighborhood.neighbor_pairs) {
@@ -442,9 +460,7 @@ TEST(ConstrainedCellFixtureTest, PredicateConfinedVsStraddling) {
   Policy confined = CoupledCellFixture(domain);
   // The constraint's only coupled component is {cell 0}: a grouping
   // with one member per cell is accepted...
-  EXPECT_TRUE(
-      ConstrainedParallelCellsValid(confined, {{0}, {1}}, kMaxEdges)
-          .value());
+  EXPECT_TRUE(EngineAdmitsGrouping(confined, {{0}, {1}}));
 
   // ...but a constraint critical in both cells couples them into one
   // component, and the same grouping is refused.
@@ -455,12 +471,7 @@ TEST(ConstrainedCellFixtureTest, PredicateConfinedVsStraddling) {
   Policy coupled = Policy::Create(domain, MakePartition(cell_of),
                                   std::move(straddling))
                        .value();
-  EXPECT_FALSE(
-      ConstrainedParallelCellsValid(coupled, {{0}, {1}}, kMaxEdges)
-          .value());
-  // The strict uniform-secrets check refuses even the confined policy:
-  // the refinement is strictly more permissive.
-  EXPECT_FALSE(ParallelCompositionValid(confined, kMaxEdges).value());
+  EXPECT_FALSE(EngineAdmitsGrouping(coupled, {{0}, {1}}));
 }
 
 TEST(ConstrainedCellFixtureTest, CriticalSetsAndComponents) {
@@ -522,60 +533,6 @@ TEST(SignedScalarFixtureTest, SignedBoundExactWhereMagnitudeOverNoises) {
   const double oracle =
       BruteForceSensitivity(policy, 2, 100000, sum).value();
   EXPECT_DOUBLE_EQ(oracle, 3.0);
-}
-
-TEST(ConstrainedCellFixtureTest, MechParallelCellReleaseEndToEnd) {
-  auto domain = LineDomain(6);
-  Policy policy = CoupledCellFixture(domain);
-  Dataset data = Dataset::Create(domain, {0, 2, 3, 4, 4, 5}).value();
-  Random rng(42);
-  PrivacyAccountant acct;
-  auto result = ParallelCellHistogramRelease(data, policy, {{0}, {1}},
-                                             {0.5, 0.3}, rng, &acct);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ASSERT_EQ(result->group_histograms.size(), 2u);
-  EXPECT_EQ(result->group_histograms[0].size(), 4u);  // values 0..3
-  EXPECT_EQ(result->group_histograms[1].size(), 2u);  // values 4..5
-  // Constrained groups share the union-cells scale (S_union = 4 here):
-  // a compensating move can carry a tuple from cell 0 into cell 1, so
-  // noising cell 1 at its solo sensitivity 2 would under-cover the
-  // joint loss at the max-epsilon charge.
-  EXPECT_DOUBLE_EQ(result->group_sensitivities[0], 4.0);
-  EXPECT_DOUBLE_EQ(result->group_sensitivities[1], 4.0);
-  // One parallel charge of max(eps).
-  EXPECT_DOUBLE_EQ(result->total_epsilon, 0.5);
-  EXPECT_DOUBLE_EQ(acct.TotalEpsilon(), 0.5);
-
-  // An all-free group (unconstrained singleton cells: no in-cell edge,
-  // no compensation) releases exact truths and charges nothing.
-  auto free_domain = LineDomain(2);
-  Policy free_policy =
-      Policy::Create(free_domain, MakePartition({0, 1})).value();
-  Dataset free_data = Dataset::Create(free_domain, {0, 1, 1}).value();
-  PrivacyAccountant free_acct;
-  auto free_result = ParallelCellHistogramRelease(
-      free_data, free_policy, {{0}, {1}}, {0.5, 0.3}, rng, &free_acct);
-  ASSERT_TRUE(free_result.ok()) << free_result.status().ToString();
-  EXPECT_DOUBLE_EQ(free_result->group_sensitivities[0], 0.0);
-  EXPECT_DOUBLE_EQ(free_result->group_sensitivities[1], 0.0);
-  EXPECT_EQ(free_result->group_histograms[0], std::vector<double>{1.0});
-  EXPECT_EQ(free_result->group_histograms[1], std::vector<double>{2.0});
-  EXPECT_DOUBLE_EQ(free_result->total_epsilon, 0.0);
-  EXPECT_DOUBLE_EQ(free_acct.TotalEpsilon(), 0.0);
-
-  // A straddling constraint is refused outright.
-  std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1};
-  ConstraintSet straddling;
-  straddling.AddWithAnswer(
-      CountQuery("both", [](ValueIndex x) { return x == 1 || x == 4; }), 1);
-  Policy coupled = Policy::Create(domain, MakePartition(cell_of),
-                                  std::move(straddling))
-                       .value();
-  EXPECT_EQ(ParallelCellHistogramRelease(data, coupled, {{0}, {1}},
-                                         {0.5, 0.3}, rng)
-                .status()
-                .code(),
-            StatusCode::kFailedPrecondition);
 }
 
 }  // namespace

@@ -192,19 +192,5 @@ TEST(ConstraintSetTest, LiftedLoweredLists) {
   EXPECT_EQ(lowered[0], 0u);
 }
 
-TEST(ConstraintSetTest, HasCriticalPair) {
-  ConstraintSet q;
-  q.Add(CountQuery("low", [](ValueIndex x) { return x < 3; }));
-  // Line graph on 6: the edge (2,3) crosses the threshold.
-  LineGraph line(6);
-  EXPECT_TRUE(q.HasCriticalPair(0, line, 1000).value());
-  // Partition {0,1,2} | {3,4,5}: no edge crosses the threshold, so the
-  // constraint has an empty critical set (the Sec 4.1 closing example).
-  auto dom = std::make_shared<const Domain>(Domain::Line(6).value());
-  auto part = PartitionGraph::UniformGrid(dom, {2}).value();
-  EXPECT_FALSE(q.HasCriticalPair(0, *part, 1000).value());
-  EXPECT_FALSE(q.HasCriticalPair(5, line, 1000).ok());  // bad index
-}
-
 }  // namespace
 }  // namespace blowfish

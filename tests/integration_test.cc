@@ -10,9 +10,9 @@
 #include "core/attack.h"
 #include "core/policy.h"
 #include "core/policy_graph.h"
-#include "core/privacy_loss.h"
 #include "core/sensitivity.h"
 #include "data/synthetic.h"
+#include "engine/budget_accountant.h"
 #include "mech/hierarchical.h"
 #include "mech/kmeans.h"
 #include "mech/laplace.h"
@@ -141,11 +141,15 @@ TEST(IntegrationTest, ConstraintAttackAndDefense) {
 
 // Pipeline 5: composition accounting across a realistic release session.
 TEST(IntegrationTest, AccountantTracksSession) {
-  PrivacyAccountant acct;
-  ASSERT_TRUE(acct.SpendSequential(0.5, "kmeans").ok());
-  ASSERT_TRUE(acct.SpendSequential(0.3, "cdf").ok());
-  ASSERT_TRUE(acct.SpendParallel({0.2, 0.2, 0.2}, "per-region hist").ok());
-  EXPECT_NEAR(acct.TotalEpsilon(), 1.0, 1e-12);
+  BudgetAccountant acct(1.0);
+  ASSERT_TRUE(acct.ChargeSequential("", 0.5, "kmeans").ok());
+  ASSERT_TRUE(acct.ChargeSequential("", 0.3, "cdf").ok());
+  ASSERT_TRUE(
+      acct.ChargeParallel("", {0.2, 0.2, 0.2}, "per-region hist").ok());
+  EXPECT_NEAR(acct.Spent(""), 1.0, 1e-12);
+  // The session is exactly spent: any further charge is refused.
+  EXPECT_EQ(acct.ChargeSequential("", 0.01).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 // Pipeline 6: range queries on twitter-latitude-like data across the OH

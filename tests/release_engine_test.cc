@@ -8,6 +8,7 @@
 #include "core/policy.h"
 #include "core/secret_graph.h"
 #include "engine/batch_request.h"
+#include "engine/ops/query_op.h"
 #include "mech/laplace.h"
 #include "mech/ordered.h"
 #include "util/random.h"
@@ -49,6 +50,39 @@ QueryRequest Request(
 QueryRequest HistogramRequest(double eps) {
   return Request("histogram", eps);
 }
+
+/// A query kind registered only in this test binary: it claims one G^P
+/// cell (`cell=`) for parallel composition without checking that the
+/// policy has a partition graph, so a group of them reaches the
+/// engine's own partition requirement (cell_histogram's Validate
+/// refuses such policies first).
+class ClaimsCellOp final : public QueryOp {
+ public:
+  std::string KindName() const override { return "claims_cell"; }
+  Status Parse(KeyValueBag& kv) override {
+    return kv.TakeIndex("cell", &cell_);
+  }
+  StatusOr<std::string> SensitivityShape() const override {
+    return std::string("claims_cell");
+  }
+  StatusOr<double> ComputeSensitivity(
+      const Policy&, const SensitivityEnv&) const override {
+    return 1.0;
+  }
+  StatusOr<std::vector<uint64_t>> ParallelCells() const override {
+    return std::vector<uint64_t>{static_cast<uint64_t>(cell_)};
+  }
+  StatusOr<std::vector<double>> Execute(const QueryExecContext&,
+                                        Random) const override {
+    return std::vector<double>{0.0};
+  }
+
+ private:
+  size_t cell_ = 0;
+};
+
+const QueryOpRegistrar kClaimsCellRegistrar{
+    "claims_cell", [] { return std::make_unique<ClaimsCellOp>(); }};
 
 std::unique_ptr<ReleaseEngine> MakeEngine(const Policy& policy,
                                           const Dataset& data,
@@ -336,6 +370,112 @@ TEST(ReleaseEngineTest, ParallelGroupChargedAtFirstMemberPosition) {
   ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
   EXPECT_EQ(responses[1].status.code(), StatusCode::kResourceExhausted);
   EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.4);
+}
+
+TEST(ReleaseEngineTest, ParallelGroupFreeMemberRidesWithNoisyMember) {
+  // Line(3) cut into cells {0, 1} and {2}: cell 1 is a singleton with
+  // no G^P edge, so its member is an exact release that costs 0. It
+  // does not move the group's max, so the group is admitted and costs
+  // the noisy member's 0.5.
+  auto domain = LineDomain(3);
+  Policy policy = Policy::GridPartition(domain, {2}).value();
+  Dataset data = MakeData(domain, 60);
+  auto hist = data.CompleteHistogram().value();
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  options.default_session_budget = 1.0;
+  auto engine = MakeEngine(policy, data, options);
+
+  auto responses = engine->ServeBatch(
+      {Request("cell_histogram", 0.5, {{"cells", "0"}, {"group", "g"}}),
+       Request("cell_histogram", 0.3, {{"cells", "1"}, {"group", "g"}})});
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  ASSERT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.5);
+  EXPECT_DOUBLE_EQ(responses[0].receipt.charged, 0.5);
+  EXPECT_DOUBLE_EQ(responses[1].receipt.charged, 0.0);
+  EXPECT_DOUBLE_EQ(responses[1].sensitivity, 0.0);
+  EXPECT_EQ(responses[1].values, std::vector<double>{hist[2]});
+}
+
+TEST(ReleaseEngineTest, ParallelGroupFreeGroupChargesNothing) {
+  // Singleton cells: G^P has no edges, so both members release exactly
+  // and the group records no ledger charge at all.
+  auto domain = LineDomain(2);
+  Policy policy = Policy::GridPartition(domain, {2}).value();
+  Dataset data = Dataset::Create(domain, {0, 1, 1}).value();
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  options.default_session_budget = 0.0;  // no budget at all
+  auto engine = MakeEngine(policy, data, options);
+
+  auto responses = engine->ServeBatch(
+      {Request("cell_histogram", 0.5, {{"cells", "0"}, {"group", "g"}}),
+       Request("cell_histogram", 0.3, {{"cells", "1"}, {"group", "g"}})});
+  for (const QueryResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_DOUBLE_EQ(r.sensitivity, 0.0);
+    EXPECT_DOUBLE_EQ(r.receipt.charged, 0.0);
+    EXPECT_EQ(r.receipt.charge_id, 0u);
+  }
+  EXPECT_EQ(responses[0].values, std::vector<double>{1.0});
+  EXPECT_EQ(responses[1].values, std::vector<double>{2.0});
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
+}
+
+TEST(ReleaseEngineTest, ParallelGroupRepeatedCellIsNotAnOverlap) {
+  // `cells=0,0` reads cell 0 once, grouped or not, so a group holding
+  // it alone is served with exactly the payload of `cells=0`. A second
+  // member on cell 0 is still a real overlap.
+  auto domain = GridDomain(4, 2);
+  Policy policy = Policy::GridPartition(domain, {2, 2}).value();
+  Dataset data = MakeData(domain, 300);
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  options.default_session_budget = 10.0;
+
+  auto repeated = MakeEngine(policy, data, options)->ServeBatch(
+      {Request("cell_histogram", 0.3, {{"cells", "0,0"}, {"group", "g"}})});
+  auto single = MakeEngine(policy, data, options)->ServeBatch(
+      {Request("cell_histogram", 0.3, {{"cells", "0"}, {"group", "g"}})});
+  ASSERT_TRUE(repeated[0].status.ok()) << repeated[0].status.ToString();
+  ASSERT_TRUE(single[0].status.ok()) << single[0].status.ToString();
+  EXPECT_EQ(repeated[0].values, single[0].values);
+
+  auto engine = MakeEngine(policy, data, options);
+  auto overlapping = engine->ServeBatch(
+      {Request("cell_histogram", 0.3, {{"cells", "0,0"}, {"group", "g"}}),
+       Request("cell_histogram", 0.3, {{"cells", "0"}, {"group", "g"}})});
+  EXPECT_EQ(overlapping[0].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(overlapping[0].status.message().find("overlap"),
+            std::string::npos)
+      << overlapping[0].status.message();
+  EXPECT_EQ(overlapping[1].status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
+}
+
+TEST(ReleaseEngineTest, ParallelGroupOnNonPartitionGraphRefused) {
+  // Under the full secret graph an individual's cell is not public, so
+  // disjoint cell claims do not make disjoint individuals (the Sec 4.1
+  // gender example): the group is refused before any charge.
+  auto domain = LineDomain(6);
+  Policy policy = Policy::FullDomain(domain).value();
+  Dataset data = MakeData(domain, 60);
+  ReleaseEngineOptions options;
+  options.root_seed = kSeed;
+  options.default_session_budget = 10.0;
+  auto engine = MakeEngine(policy, data, options);
+
+  auto responses = engine->ServeBatch(
+      {Request("claims_cell", 0.3, {{"cell", "0"}, {"group", "g"}}),
+       Request("claims_cell", 0.3, {{"cell", "1"}, {"group", "g"}})});
+  for (const QueryResponse& r : responses) {
+    EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(r.status.message().find("requires a partition"),
+              std::string::npos)
+        << r.status.message();
+  }
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
 }
 
 TEST(ReleaseEngineTest, UnknownPartitionCellRefused) {
