@@ -242,16 +242,6 @@ StatusOr<bool> ConstraintSet::IsSparse(const SecretGraph& graph,
 // ---------------------------------------------------------------------------
 // Per-cell critical sets
 
-std::optional<size_t> CellCriticalSets::ComponentOfCell(uint64_t cell) const {
-  for (size_t k = 0; k < component_cells.size(); ++k) {
-    if (std::binary_search(component_cells[k].begin(),
-                           component_cells[k].end(), cell)) {
-      return k;
-    }
-  }
-  return std::nullopt;
-}
-
 StatusOr<CellCriticalSets> ComputeCellCriticalSets(
     const ConstraintSet& constraints, const PartitionGraph& graph,
     uint64_t max_edges) {
@@ -304,22 +294,11 @@ StatusOr<CellCriticalSets> ComputeCellCriticalSets(
     const uint64_t root = find(cell);
     auto [it, inserted] =
         component_of_root.emplace(root, out.component_cells.size());
-    if (inserted) {
-      out.component_cells.emplace_back();
-      out.component_queries.emplace_back();
-    }
+    if (inserted) out.component_cells.emplace_back();
     out.component_cells[it->second].push_back(cell);
-  }
-  for (size_t i = 0; i < out.critical_cells.size(); ++i) {
-    if (out.critical_cells[i].empty()) continue;
-    const size_t k = component_of_root.at(find(out.critical_cells[i][0]));
-    out.component_queries[k].push_back(i);
   }
   for (std::vector<uint64_t>& cells : out.component_cells) {
     std::sort(cells.begin(), cells.end());
-  }
-  for (std::vector<size_t>& queries : out.component_queries) {
-    std::sort(queries.begin(), queries.end());
   }
   return out;
 }

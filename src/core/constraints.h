@@ -187,14 +187,6 @@ struct CellCriticalSets {
   /// Coupled components, each a sorted cell list; deterministic order
   /// (by smallest cell).
   std::vector<std::vector<uint64_t>> component_cells;
-  /// component_queries[k]: sorted constraint indices whose critical
-  /// cells lie in component k. Constraints with empty critical sets
-  /// appear in no component (they never move under any neighbour step).
-  std::vector<std::vector<size_t>> component_queries;
-
-  /// Index of the coupled component containing `cell`, or nullopt for a
-  /// free cell (critical for no constraint).
-  std::optional<size_t> ComponentOfCell(uint64_t cell) const;
 };
 
 /// Computes the per-cell critical sets of `constraints` w.r.t. a

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -71,11 +70,14 @@ Status WriteLedgerLine(std::ostream& out, const std::string& name,
         "session name contains a tab or newline and cannot be "
         "serialized");
   }
-  char budget_text[64];
-  char spent_text[64];
-  std::snprintf(budget_text, sizeof(budget_text), "%.17g", budget);
-  std::snprintf(spent_text, sizeof(spent_text), "%.17g", spent);
-  out << budget_text << "\t" << spent_text << "\t" << name << "\n";
+  std::string line;
+  AppendDouble(&line, budget);
+  line += '\t';
+  AppendDouble(&line, spent);
+  line += '\t';
+  line += name;
+  line += '\n';
+  out << line;
   return Status::OK();
 }
 

@@ -135,8 +135,10 @@ class BudgetAccountant {
   /// restarted host (or a `sessions` CLI run in another process) sees
   /// what earlier processes charged instead of the opening balances.
   /// Format: a version header, then one `<budget>\t<spent>\t<session>`
-  /// line per session, in name order; values round-trip bit-exactly via
-  /// %.17g. Outstanding (unsettled) charges are persisted as spent —
+  /// line per session, in name order; values are written as shortest
+  /// round-trip text (AppendDouble, util/parse.h), which reads back to
+  /// the same bits, and files of older 17-significant-digit text still
+  /// load. Outstanding (unsettled) charges are persisted as spent —
   /// refunds do not survive a restart.
   Status Save(std::ostream& out) const;
   /// Atomic read-merge-write under the advisory `<path>.lock`

@@ -1,6 +1,5 @@
 #include "engine/sensitivity_cache.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <vector>
@@ -119,9 +118,12 @@ Status SensitivityCache::Save(std::ostream& out) const {
       return Status::Internal(
           "cache key contains a tab or newline and cannot be serialized");
     }
-    char value[64];
-    std::snprintf(value, sizeof(value), "%.17g", entry.second);
-    out << value << "\t" << entry.first << "\n";
+    std::string line;
+    AppendDouble(&line, entry.second);
+    line += '\t';
+    line += entry.first;
+    line += '\n';
+    out << line;
   }
   if (!out) return Status::Internal("write to cache stream failed");
   return Status::OK();

@@ -86,7 +86,9 @@ class SensitivityCache {
   /// re-running the NP-hard bounds. Format: a version header, then one
   /// `<value>\t<key>` line per entry, least recently used first (so Load,
   /// which inserts in line order at the LRU front, reproduces the
-  /// recency order). Values round-trip bit-exactly via %.17g.
+  /// recency order). Values are shortest round-trip text (AppendDouble,
+  /// util/parse.h); files of older 17-significant-digit text load to the
+  /// same bits.
   Status Save(std::ostream& out) const;
   Status SaveToFile(const std::string& path) const;
 

@@ -7,8 +7,8 @@
 // streamed RESULT / RECEIPT frames back into the same
 // std::vector<QueryResponse> an in-process EngineHost::SubmitBatch
 // future would deliver — field for field, bit for bit (doubles cross
-// the wire as %.17g). tests/net_e2e_test.cc holds the equivalence
-// proof.
+// the wire as shortest round-trip text, std::to_chars).
+// tests/net_e2e_test.cc holds the equivalence proof.
 //
 // The client is blocking and single-threaded by design: one client per
 // connection per thread. Concurrency comes from running many clients

@@ -5,16 +5,20 @@
 namespace blowfish {
 
 std::string EncodeFrame(const std::string& payload) {
-  assert(payload.size() <= kMaxFramePayload);
-  const uint32_t len = static_cast<uint32_t>(payload.size());
   std::string frame;
   frame.reserve(4 + payload.size());
-  frame.push_back(static_cast<char>((len >> 24) & 0xff));
-  frame.push_back(static_cast<char>((len >> 16) & 0xff));
-  frame.push_back(static_cast<char>((len >> 8) & 0xff));
-  frame.push_back(static_cast<char>(len & 0xff));
-  frame.append(payload);
+  AppendFrame(payload, &frame);
   return frame;
+}
+
+void AppendFrame(const std::string& payload, std::string* out) {
+  assert(payload.size() <= kMaxFramePayload);
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  out->push_back(static_cast<char>((len >> 24) & 0xff));
+  out->push_back(static_cast<char>((len >> 16) & 0xff));
+  out->push_back(static_cast<char>((len >> 8) & 0xff));
+  out->push_back(static_cast<char>(len & 0xff));
+  out->append(payload);
 }
 
 void FrameDecoder::Feed(const char* data, size_t len) {

@@ -29,6 +29,9 @@ constexpr size_t kMaxFramePayload = size_t{1} << 20;  // 1 MiB
 /// builds one) and assert.
 std::string EncodeFrame(const std::string& payload);
 
+/// EncodeFrame appended to *out in place, with no temporary frame.
+void AppendFrame(const std::string& payload, std::string* out);
+
 /// Incremental frame parser. Feed() buffers raw bytes; Next() pops
 /// complete frames. The split means chunking never matters: any
 /// partition of a byte stream decodes to the same frame sequence (the

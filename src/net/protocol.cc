@@ -1,10 +1,13 @@
 #include "net/protocol.h"
 
+#include <algorithm>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "net/frame.h"
+#include "util/parse.h"
 
 namespace blowfish {
 
@@ -21,28 +24,85 @@ int HexDigit(char c) {
   return -1;
 }
 
-std::string FormatDouble(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+/// Appends the strict inverse of EscapeWireField over [first, last).
+/// Unescaped runs are copied whole, so a field without '%' (every
+/// number list) costs one append.
+Status AppendUnescaped(const char* first, const char* last,
+                       std::string* out) {
+  while (first < last) {
+    const char* pct = static_cast<const char*>(
+        std::memchr(first, '%', static_cast<size_t>(last - first)));
+    if (pct == nullptr) {
+      out->append(first, last);
+      break;
+    }
+    out->append(first, pct);
+    if (last - pct < 3) {
+      return Status::InvalidArgument("truncated %XX escape");
+    }
+    const int hi = HexDigit(pct[1]);
+    const int lo = HexDigit(pct[2]);
+    if (hi < 0 || lo < 0) {
+      return Status::InvalidArgument("malformed %XX escape");
+    }
+    out->push_back(static_cast<char>((hi << 4) | lo));
+    first = pct + 3;
+  }
+  return Status::OK();
 }
 
-/// Full-consumption strtod: the wire carries exactly what %.17g
-/// produced, so trailing junk is a protocol error. (util/parse.h's
-/// ParseFiniteDouble is for human input and rejects inf — the wire
-/// must round-trip whatever a mechanism produced.)
+Status MissingKey(const WireMessage& msg, const std::string& key) {
+  return Status::InvalidArgument("missing key '" + key + "' in " +
+                                 msg.verb + " message");
+}
+
+Status MalformedNumber(const char* first, const char* last,
+                       const std::string& context) {
+  return Status::InvalidArgument("malformed number '" +
+                                 std::string(first, last) + "' for " +
+                                 context);
+}
+
+/// A double that must fill the whole field, read with std::from_chars:
+/// leading whitespace, '+', hex floats and overflowing literals are not
+/// numbers to it, and no encoder writes them. (util/parse.h's
+/// ParseFiniteDouble is for human input and rejects inf — the wire must
+/// round-trip whatever a mechanism produced.)
 StatusOr<double> ParseWireDouble(const std::string& text,
                                  const std::string& context) {
-  if (text.empty()) {
-    return Status::InvalidArgument("empty number for " + context);
-  }
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) {
-    return Status::InvalidArgument("malformed number '" + text + "' for " +
-                                   context);
+  const char* first = text.data();
+  const char* last = first + text.size();
+  double value = 0.0;
+  const std::from_chars_result r = std::from_chars(first, last, value);
+  if (r.ec != std::errc() || r.ptr != last) {
+    return MalformedNumber(first, last, context);
   }
   return value;
+}
+
+/// Parses the comma-separated `values=` list in place into *out, by the
+/// rules of ParseWireDouble. An empty field is an empty list; an empty
+/// element (`1,`, `,1`, `1,,2`) is malformed.
+Status ParseWireDoubleList(const std::string& text,
+                           std::vector<double>* out) {
+  if (text.empty()) return Status::OK();
+  out->reserve(static_cast<size_t>(
+                   std::count(text.begin(), text.end(), ',')) + 1);
+  const char* first = text.data();
+  const char* const last = first + text.size();
+  while (true) {
+    double value = 0.0;
+    const std::from_chars_result r = std::from_chars(first, last, value);
+    if (r.ec != std::errc() || (r.ptr != last && *r.ptr != ',')) {
+      const char* comma = static_cast<const char*>(
+          std::memchr(first, ',', static_cast<size_t>(last - first)));
+      return MalformedNumber(first, comma != nullptr ? comma : last,
+                             "'values' in RESULT");
+    }
+    out->push_back(value);
+    if (r.ptr == last) return Status::OK();
+    first = r.ptr + 1;
+  }
 }
 
 StatusOr<uint64_t> ParseWireUint(const std::string& text,
@@ -114,23 +174,8 @@ std::string EscapeWireField(const std::string& raw) {
 
 StatusOr<std::string> UnescapeWireField(const std::string& escaped) {
   std::string out;
-  out.reserve(escaped.size());
-  for (size_t i = 0; i < escaped.size(); ++i) {
-    if (escaped[i] != '%') {
-      out.push_back(escaped[i]);
-      continue;
-    }
-    if (i + 2 >= escaped.size()) {
-      return Status::InvalidArgument("truncated %XX escape");
-    }
-    const int hi = HexDigit(escaped[i + 1]);
-    const int lo = HexDigit(escaped[i + 2]);
-    if (hi < 0 || lo < 0) {
-      return Status::InvalidArgument("malformed %XX escape");
-    }
-    out.push_back(static_cast<char>((hi << 4) | lo));
-    i += 2;
-  }
+  BLOWFISH_RETURN_IF_ERROR(AppendUnescaped(
+      escaped.data(), escaped.data() + escaped.size(), &out));
   return out;
 }
 
@@ -149,23 +194,26 @@ StatusOr<WireMessage> ParseWireMessage(const std::string& payload) {
   while (pos <= payload.size()) {
     size_t space = payload.find(' ', pos);
     if (space == std::string::npos) space = payload.size();
-    const std::string token = payload.substr(pos, space - pos);
-    if (token.empty()) {
+    if (space == pos) {
       return Status::InvalidArgument(
           "empty token in wire message (doubled or trailing space)");
     }
     if (first) {
-      msg.verb = token;
+      msg.verb = payload.substr(pos, space - pos);
       first = false;
     } else {
-      const size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        return Status::InvalidArgument("expected key=value, got '" + token +
+      // Key and value are read where they sit: the value is unescaped
+      // straight out of the payload, the one copy a field costs.
+      const size_t eq = payload.find('=', pos);
+      if (eq >= space || eq == pos) {
+        return Status::InvalidArgument("expected key=value, got '" +
+                                       payload.substr(pos, space - pos) +
                                        "' in wire message");
       }
-      BLOWFISH_ASSIGN_OR_RETURN(std::string value,
-                                UnescapeWireField(token.substr(eq + 1)));
-      msg.args.emplace_back(token.substr(0, eq), std::move(value));
+      std::string value;
+      BLOWFISH_RETURN_IF_ERROR(AppendUnescaped(
+          payload.data() + eq + 1, payload.data() + space, &value));
+      msg.args.emplace_back(payload.substr(pos, eq - pos), std::move(value));
     }
     if (space == payload.size()) break;
     pos = space + 1;
@@ -180,11 +228,15 @@ StatusOr<WireMessage> ParseWireMessage(const std::string& payload) {
   return msg;
 }
 
-WireMessageBuilder& WireMessageBuilder::Add(const std::string& key,
-                                            const std::string& value) {
+void WireMessageBuilder::Key(const std::string& key) {
   payload_.push_back(' ');
   payload_.append(key);
   payload_.push_back('=');
+}
+
+WireMessageBuilder& WireMessageBuilder::Add(const std::string& key,
+                                            const std::string& value) {
+  Key(key);
   payload_.append(EscapeWireField(value));
   return *this;
 }
@@ -194,9 +246,28 @@ WireMessageBuilder& WireMessageBuilder::AddUint(const std::string& key,
   return Add(key, std::to_string(value));
 }
 
+// Doubles are written straight into the payload: digits, '.', '-',
+// '+', 'e', ',', "inf" and "nan" never need escaping.
+
 WireMessageBuilder& WireMessageBuilder::AddDouble(const std::string& key,
                                                   double value) {
-  return Add(key, FormatDouble(value));
+  Key(key);
+  AppendDouble(&payload_, value);
+  return *this;
+}
+
+WireMessageBuilder& WireMessageBuilder::AddDoubleList(
+    const std::string& key, const std::vector<double>& values) {
+  Key(key);
+  // 25 bytes bound one shortest double plus its comma; the slack keeps
+  // the short fields that follow (a RESULT's receipt) from regrowing a
+  // ~40 KB payload.
+  payload_.reserve(payload_.size() + 25 * values.size() + 256);
+  for (size_t v = 0; v < values.size(); ++v) {
+    if (v > 0) payload_.push_back(',');
+    AppendDouble(&payload_, values[v]);
+  }
+  return *this;
 }
 
 WireMessageBuilder& WireMessageBuilder::AddBool(const std::string& key,
@@ -207,10 +278,7 @@ WireMessageBuilder& WireMessageBuilder::AddBool(const std::string& key,
 StatusOr<std::string> GetField(const WireMessage& msg,
                                const std::string& key) {
   const std::string* value = msg.Find(key);
-  if (value == nullptr) {
-    return Status::InvalidArgument("missing key '" + key + "' in " +
-                                   msg.verb + " message");
-  }
+  if (value == nullptr) return MissingKey(msg, key);
   return *value;
 }
 
@@ -222,8 +290,9 @@ StatusOr<uint64_t> GetUintField(const WireMessage& msg,
 
 StatusOr<double> GetDoubleField(const WireMessage& msg,
                                 const std::string& key) {
-  BLOWFISH_ASSIGN_OR_RETURN(std::string value, GetField(msg, key));
-  return ParseWireDouble(value, "'" + key + "' in " + msg.verb);
+  const std::string* value = msg.Find(key);
+  if (value == nullptr) return MissingKey(msg, key);
+  return ParseWireDouble(*value, "'" + key + "' in " + msg.verb);
 }
 
 StatusOr<bool> GetBoolField(const WireMessage& msg,
@@ -354,13 +423,8 @@ std::string EncodeResultPayload(size_t index,
       .Add("msg", response.status.message())
       .Add("label", response.label)
       .AddDouble("sens", response.sensitivity)
-      .AddBool("hit", response.cache_hit);
-  std::string values;
-  for (size_t v = 0; v < response.values.size(); ++v) {
-    if (v > 0) values.push_back(',');
-    values.append(FormatDouble(response.values[v]));
-  }
-  b.Add("values", values);
+      .AddBool("hit", response.cache_hit)
+      .AddDoubleList("values", response.values);
   AddReceiptFields(b, response.receipt);
   return b.payload();
 }
@@ -407,18 +471,9 @@ StatusOr<std::pair<size_t, QueryResponse>> ParseResultPayload(
   BLOWFISH_ASSIGN_OR_RETURN(response.sensitivity,
                             GetDoubleField(msg, "sens"));
   BLOWFISH_ASSIGN_OR_RETURN(response.cache_hit, GetBoolField(msg, "hit"));
-  BLOWFISH_ASSIGN_OR_RETURN(std::string values, GetField(msg, "values"));
-  size_t pos = 0;
-  while (pos <= values.size() && !values.empty()) {
-    size_t comma = values.find(',', pos);
-    if (comma == std::string::npos) comma = values.size();
-    BLOWFISH_ASSIGN_OR_RETURN(
-        double value, ParseWireDouble(values.substr(pos, comma - pos),
-                                      "'values' in RESULT"));
-    response.values.push_back(value);
-    if (comma == values.size()) break;
-    pos = comma + 1;
-  }
+  const std::string* values = msg.Find("values");
+  if (values == nullptr) return MissingKey(msg, "values");
+  BLOWFISH_RETURN_IF_ERROR(ParseWireDoubleList(*values, &response.values));
   BLOWFISH_RETURN_IF_ERROR(ParseReceiptFields(msg, &response.receipt));
   return std::make_pair(static_cast<size_t>(index), std::move(response));
 }

@@ -34,9 +34,11 @@
 // Status values cross the wire as their stable code names
 // (util/status.h, StatusCodeToString / StatusCodeFromString) plus the
 // escaped message, so a client-side Status is code-for-code identical
-// to the server-side one. Doubles cross as %.17g, which round-trips
-// IEEE doubles bit-exactly — the e2e suite asserts byte-identical
-// payloads against in-process serving.
+// to the server-side one. Doubles cross as their shortest round-trip
+// text (std::to_chars), which reads back to the same IEEE bits — the
+// e2e suite asserts byte-identical payloads against in-process serving.
+// Numbers are written into the payload and read back out of it in
+// place; they never need escaping.
 //
 // Evolution contract — unknown keys: ParseWireMessage keeps EVERY
 // well-formed `key=value` token (WireMessage::Find returns the last
@@ -48,6 +50,14 @@
 // empty key, bad escape) and malformed values for KNOWN keys are
 // protocol errors. tests/net_e2e_test.cc pins this down on both the
 // parser and a live server.
+//
+// Evolution contract — numbers: a double field is read with
+// std::from_chars and must fill its whole token, so a peer that still
+// writes 17-significant-digit printf text is read bit-exactly, and an
+// old peer's strtod reads the shortest text. Parsing only ever gets
+// stricter: leading whitespace, '+', hex floats and literals that
+// overflow a double were never written by an encoder and are refused
+// (InvalidArgument).
 //
 // This header is the only place the wire layer touches engine types,
 // and it reaches them exclusively through server/engine_host.h (CI
@@ -144,13 +154,18 @@ class WireMessageBuilder {
 
   WireMessageBuilder& Add(const std::string& key, const std::string& value);
   WireMessageBuilder& AddUint(const std::string& key, uint64_t value);
-  /// %.17g — bit-exact double round-trip.
+  /// Shortest round-trip text (std::to_chars) — bit-exact.
   WireMessageBuilder& AddDouble(const std::string& key, double value);
+  /// Comma-separated AddDouble texts; an empty list is an empty value.
+  WireMessageBuilder& AddDoubleList(const std::string& key,
+                                    const std::vector<double>& values);
   WireMessageBuilder& AddBool(const std::string& key, bool value);
 
   const std::string& payload() const { return payload_; }
 
  private:
+  void Key(const std::string& key);  // appends " key="
+
   std::string payload_;
 };
 
@@ -255,7 +270,8 @@ std::string EncodeBoundedResultPayload(size_t index,
 std::string EncodeReceiptPayload(size_t index,
                                  const QueryResponse& response);
 
-/// Parses a RESULT message into (index, response).
+/// Parses a RESULT message into (index, response). The values list is
+/// read where it sits in `msg`.
 StatusOr<std::pair<size_t, QueryResponse>> ParseResultPayload(
     const WireMessage& msg);
 
@@ -269,9 +285,10 @@ std::string EncodeStatsPayload();
 /// HEALTH — no fields.
 std::string EncodeHealthPayload();
 
-/// METRIC name=<escaped> value=<%.17g> — one metrics sample. Sample
-/// names reuse the registry's convention (obs/metrics.h), label block
-/// and all; the value crosses bit-exactly like every other double.
+/// METRIC name=<escaped> value=<shortest round-trip double> — one
+/// metrics sample. Sample names reuse the registry's convention
+/// (obs/metrics.h), label block and all; the value crosses bit-exactly
+/// like every other double.
 std::string EncodeMetricPayload(const std::string& name, double value);
 
 /// Parses a METRIC message into (name, value).

@@ -866,16 +866,15 @@ void BlowfishServer::Output(Connection* conn, const std::string& payload,
   {
     std::lock_guard<std::mutex> lk(conn->out_mu);
     if (!conn->dead) {
-      const std::string frame = EncodeFrame(payload);
       // Counted at enqueue: the frame is committed to the wire from
       // the protocol's point of view the moment it is serialized (only
       // transport death can drop it now).
       frames_out_total_->Increment();
-      bytes_out_total_->Increment(frame.size());
+      bytes_out_total_->Increment(4 + payload.size());
       conn->last_activity_us.store(obs::MonotonicMicros(),
                                    std::memory_order_relaxed);
       const bool was_empty = conn->out_nonempty_since_us == 0;
-      conn->out.append(frame);
+      AppendFrame(payload, &conn->out);
       if (was_empty) {
         conn->out_nonempty_since_us = obs::MonotonicMicros();
         conn->owner->out_pending.fetch_add(1, std::memory_order_relaxed);

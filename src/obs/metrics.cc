@@ -5,6 +5,8 @@
 #include <functional>
 #include <thread>
 
+#include "obs/double_text.h"
+
 namespace blowfish {
 namespace obs {
 
@@ -188,12 +190,6 @@ std::string QuoteLabelValues(const std::string& name) {
   return out;
 }
 
-std::string FormatValue(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
-}
-
 }  // namespace
 
 std::string MetricsRegistry::RenderPrometheusText() const {
@@ -201,7 +197,7 @@ std::string MetricsRegistry::RenderPrometheusText() const {
   for (const Sample& sample : Snapshot()) {
     out += QuoteLabelValues(sample.name);
     out += ' ';
-    out += FormatValue(sample.value);
+    AppendDouble(&out, sample.value);
     out += '\n';
   }
   return out;

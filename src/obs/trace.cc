@@ -4,6 +4,8 @@
 
 #include <cstdint>
 
+#include "obs/double_text.h"
+
 namespace blowfish {
 namespace obs {
 
@@ -75,11 +77,7 @@ TraceEvent& TraceEvent::Uint(const char* key, unsigned long long value) {
 
 TraceEvent& TraceEvent::Double(const char* key, double value) {
   Key(key);
-  char buf[64];
-  // %.17g round-trips doubles exactly — the same discipline as the wire
-  // protocol, so a trace line's epsilon equals the receipt's epsilon.
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  buffer_ += buf;
+  AppendDouble(&buffer_, value);
   return *this;
 }
 

@@ -49,7 +49,7 @@ class TraceEvent {
   TraceEvent& Str(const char* key, const std::string& value);
   TraceEvent& Int(const char* key, long long value);
   TraceEvent& Uint(const char* key, unsigned long long value);
-  TraceEvent& Double(const char* key, double value);  // %.17g, bit-exact
+  TraceEvent& Double(const char* key, double value);  // shortest, bit-exact
   TraceEvent& Bool(const char* key, bool value);
 
   /// The finished single-line JSON object (no trailing newline).

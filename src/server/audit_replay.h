@@ -54,8 +54,10 @@ StatusOr<AuditReplayStats> ReplayAuditLog(std::istream& in,
 
 /// ReplayAuditLog into a fresh accountant, then byte-compares its
 /// Save() serialization against `expected_ledger` (the text a live
-/// accountant's Save wrote). Mismatch is Internal with both texts in
-/// the message.
+/// accountant's Save wrote) as re-saved by this build's writer, so
+/// older digit forms of the same doubles still match. Mismatch, or a
+/// saved ledger that does not load, is Internal with both texts in the
+/// message.
 StatusOr<AuditReplayStats> VerifyAuditReplay(
     std::istream& audit, const std::string& tenant,
     const std::string& expected_ledger);

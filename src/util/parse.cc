@@ -1,6 +1,7 @@
 #include "util/parse.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -21,6 +22,13 @@ StatusOr<double> ParseFiniteDouble(const std::string& value,
                                    context);
   }
   return parsed;
+}
+
+void AppendDouble(std::string* out, double value) {
+  // The longest shortest form is 24 bytes: "-2.2250738585072014e-308".
+  char buf[32];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), value);
+  out->append(buf, r.ptr);
 }
 
 StatusOr<uint64_t> ParseNonNegativeInt(const std::string& value,

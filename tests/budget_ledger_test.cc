@@ -43,7 +43,7 @@ TEST(BudgetLedgerTest, SaveLoadRoundTripIsExact) {
   ASSERT_EQ(before.size(), after.size());
   for (size_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i].name, after[i].name);
-    // %.17g round-trips doubles bit-exactly.
+    // Shortest round-trip text (std::to_chars) reads back bit-exactly.
     EXPECT_EQ(before[i].budget, after[i].budget);
     EXPECT_EQ(before[i].spent, after[i].spent);
   }

@@ -487,9 +487,6 @@ TEST(ConstrainedCellFixtureTest, CriticalSetsAndComponents) {
   EXPECT_EQ(crit.critical_cells[0], std::vector<uint64_t>{0});
   ASSERT_EQ(crit.component_cells.size(), 1u);
   EXPECT_EQ(crit.component_cells[0], std::vector<uint64_t>{0});
-  EXPECT_EQ(crit.component_queries[0], std::vector<size_t>{0});
-  EXPECT_EQ(crit.ComponentOfCell(0), std::optional<size_t>{0});
-  EXPECT_EQ(crit.ComponentOfCell(1), std::nullopt);
 }
 
 TEST(SignedScalarFixtureTest, SignedBoundExactWhereMagnitudeOverNoises) {

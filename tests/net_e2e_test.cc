@@ -6,7 +6,8 @@
 //  * bit-identical equivalence: for pool sizes {0, 1, 8}, every field
 //    of every wire response — payload doubles, status, sensitivity,
 //    receipts — equals the in-process SubmitBatch future's, byte for
-//    byte (%.17g round-trips IEEE doubles exactly);
+//    byte (shortest round-trip text, std::to_chars, reads back to the
+//    same IEEE bits);
 //  * streamed RESULT frames carry the final payloads and arrive in
 //    completion-callback order (pinned observable on a zero-worker
 //    host, where completion order is request order);
@@ -972,7 +973,8 @@ TEST(NetE2eTest, ProtocolViolationsGetStructuredErrors) {
 
 TEST(NetE2eTest, OversizedResponsePayloadBecomesAStructuredError) {
   // A histogram over a 60k-value domain serves fine in-process but
-  // cannot fit one RESULT frame (~1.1 MB of %.17g values vs the 1 MiB
+  // cannot fit one RESULT frame (~1.1 MB of shortest round-trip
+  // (std::to_chars) values vs the 1 MiB
   // cap). The wire must degrade to a structured per-query error with
   // the receipt intact — never a daemon assert or a poisoned client
   // connection.
@@ -1206,7 +1208,8 @@ TEST(NetE2eTest, StopCompletesAgainstAClientThatStoppedReading) {
   char buf[256];
   auto n = sock->Recv(buf, sizeof(buf));  // the OK frame
   ASSERT_TRUE(n.ok());
-  // Each batch's RESULT frame is ~400 KiB of %.17g values; 64 of them
+  // Each batch's RESULT frame is ~400 KiB of shortest round-trip
+  // (std::to_chars) values; 64 of them
   // overflow any plausible socket buffering, so the handler wedges in
   // send() partway through.
   for (int i = 0; i < 64; ++i) {

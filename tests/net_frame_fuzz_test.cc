@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -202,6 +204,76 @@ TEST(NetFrameFuzzTest, WireMessageParserNeverCrashes) {
   }
   // The grammar-ish generator must actually exercise the success path.
   EXPECT_GT(parsed_ok, 100u);
+
+  // Numeric `values=` lists, mutated byte by byte: the in-place number
+  // reader must never read past its token, and whatever it accepts must
+  // re-encode and re-parse to the same bits.
+  static const char kNumberBytes[] = "0123456789.-+eE,xpinfa% ";
+  uint64_t values_ok = 0;
+  uint64_t values_refused = 0;
+  for (uint64_t iter = 0; iter < 2000; ++iter) {
+    Random rng = root.Fork(2000 + iter);
+    QueryResponse response;
+    const size_t n = static_cast<size_t>(rng.UniformInt(0, 8));
+    for (size_t v = 0; v < n; ++v) {
+      response.values.push_back(rng.Bernoulli(0.5) ? rng.Laplace(100.0)
+                                                   : rng.UniformInt(-9, 9));
+    }
+    std::string payload = EncodeResultPayload(iter, response);
+    const size_t start = payload.find(" values=") + 8;
+    size_t end = payload.find(' ', start);
+    const int edits = static_cast<int>(rng.UniformInt(1, 4));
+    for (int e = 0; e < edits; ++e) {
+      const size_t at = static_cast<size_t>(
+          rng.UniformInt(static_cast<int64_t>(start),
+                         static_cast<int64_t>(end)));
+      const char c =
+          rng.Bernoulli(0.8)
+              ? kNumberBytes[rng.UniformInt(0, sizeof(kNumberBytes) - 2)]
+              : static_cast<char>(rng.UniformInt(0, 255));
+      switch (rng.UniformInt(0, 2)) {
+        case 0:  // insert
+          payload.insert(at, 1, c);
+          ++end;
+          break;
+        case 1:  // delete
+          if (at < end) {
+            payload.erase(at, 1);
+            --end;
+          }
+          break;
+        default:  // replace
+          if (at < end) payload[at] = c;
+          break;
+      }
+    }
+    auto msg = ParseWireMessage(payload);
+    if (!msg.ok()) continue;
+    auto parsed = ParseResultPayload(*msg);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "iteration " << iter;
+      ++values_refused;
+      continue;
+    }
+    ++values_ok;
+    auto again_msg =
+        ParseWireMessage(EncodeResultPayload(iter, parsed->second));
+    ASSERT_TRUE(again_msg.ok()) << "iteration " << iter;
+    auto again = ParseResultPayload(*again_msg);
+    ASSERT_TRUE(again.ok()) << "iteration " << iter;
+    ASSERT_EQ(again->second.values.size(), parsed->second.values.size());
+    for (size_t v = 0; v < parsed->second.values.size(); ++v) {
+      const double a = parsed->second.values[v];
+      const double b = again->second.values[v];
+      ASSERT_TRUE(std::memcmp(&a, &b, sizeof(a)) == 0 ||
+                  (std::isnan(a) && std::isnan(b)))
+          << "iteration " << iter << " value " << v;
+    }
+  }
+  // Both the accepting and the refusing paths were exercised.
+  EXPECT_GT(values_ok, 100u);
+  EXPECT_GT(values_refused, 100u);
 }
 
 TEST(NetFrameFuzzTest, EscapeRoundTripsArbitraryBytes) {

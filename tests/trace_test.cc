@@ -45,7 +45,9 @@ TEST(TraceEventTest, EscapesStrings) {
 }
 
 TEST(TraceEventTest, DoubleRoundTripsBitExactly) {
-  const double eps = 0.1;  // not binary-exact; %.17g must round-trip it
+  // Not binary-exact; the shortest round-trip text (std::to_chars) must
+  // read back to the same bits.
+  const double eps = 0.1;
   TraceEvent event("q");
   event.Double("eps", eps);
   const std::string json = std::move(event).Finish();
