@@ -1,10 +1,6 @@
 #include "core/constraints.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <map>
-#include <set>
 
 namespace blowfish {
 
@@ -220,107 +216,6 @@ std::vector<size_t> ConstraintSet::LoweredPinned(ValueIndex x,
     }
   }
   return out;
-}
-
-StatusOr<bool> ConstraintSet::IsSparse(const SecretGraph& graph,
-                                       uint64_t max_edges) const {
-  bool sparse = true;
-  Status status = graph.ForEachEdge(
-      [this, &sparse](ValueIndex x, ValueIndex y) {
-        if (!sparse) return;
-        // Both orientations; Lifted(x,y) == Lowered(y,x), so checking one
-        // direction's lift and lower covers the reverse direction too.
-        if (Lifted(x, y).size() > 1 || Lowered(x, y).size() > 1) {
-          sparse = false;
-        }
-      },
-      max_edges);
-  BLOWFISH_RETURN_IF_ERROR(status);
-  return sparse;
-}
-
-// ---------------------------------------------------------------------------
-// Per-cell critical sets
-
-StatusOr<CellCriticalSets> ComputeCellCriticalSets(
-    const ConstraintSet& constraints, const PartitionGraph& graph,
-    uint64_t max_edges) {
-  std::vector<std::set<uint64_t>> crit(constraints.size());
-  Status st = graph.ForEachEdge(
-      [&](ValueIndex x, ValueIndex y) {
-        // Every G^P edge lives inside one cell. Unpinned queries do not
-        // restrict I_Q, so they can neither force a compensation nor
-        // couple cells — their critical sets stay empty and they join
-        // no component (an all-unpinned set yields no components at
-        // all, matching the unconstrained neighbour semantics).
-        const uint64_t cell = graph.CellOf(x);
-        for (size_t i = 0; i < constraints.size(); ++i) {
-          if (!constraints.pinned(i)) continue;
-          if (constraints.query(i).CriticalPair(x, y)) crit[i].insert(cell);
-        }
-      },
-      max_edges);
-  BLOWFISH_RETURN_IF_ERROR(st);
-
-  CellCriticalSets out;
-  out.critical_cells.reserve(crit.size());
-  for (const std::set<uint64_t>& cells : crit) {
-    out.critical_cells.emplace_back(cells.begin(), cells.end());
-  }
-
-  // Union-find over cells: a constraint couples all of its critical
-  // cells together.
-  std::map<uint64_t, uint64_t> parent;
-  std::function<uint64_t(uint64_t)> find = [&](uint64_t c) {
-    while (parent[c] != c) {
-      parent[c] = parent[parent[c]];
-      c = parent[c];
-    }
-    return c;
-  };
-  for (const std::vector<uint64_t>& cells : out.critical_cells) {
-    for (uint64_t c : cells) {
-      if (parent.find(c) == parent.end()) parent[c] = c;
-    }
-    for (size_t j = 1; j < cells.size(); ++j) {
-      parent[find(cells[j])] = find(cells[0]);
-    }
-  }
-  // Components in deterministic order: by smallest member cell (the
-  // std::map iterates cells in increasing order).
-  std::map<uint64_t, size_t> component_of_root;
-  for (const auto& [cell, unused] : parent) {
-    (void)unused;
-    const uint64_t root = find(cell);
-    auto [it, inserted] =
-        component_of_root.emplace(root, out.component_cells.size());
-    if (inserted) out.component_cells.emplace_back();
-    out.component_cells[it->second].push_back(cell);
-  }
-  for (std::vector<uint64_t>& cells : out.component_cells) {
-    std::sort(cells.begin(), cells.end());
-  }
-  return out;
-}
-
-bool CellGroupsSeparateComponents(
-    const CellCriticalSets& critical_sets,
-    const std::vector<std::vector<uint64_t>>& member_cells) {
-  for (const std::vector<uint64_t>& component :
-       critical_sets.component_cells) {
-    size_t touched = 0;
-    for (const std::vector<uint64_t>& cells : member_cells) {
-      bool intersects = false;
-      for (uint64_t c : cells) {
-        if (std::binary_search(component.begin(), component.end(), c)) {
-          intersects = true;
-          break;
-        }
-      }
-      if (intersects && ++touched > 1) return false;
-    }
-  }
-  return true;
 }
 
 }  // namespace blowfish

@@ -7,8 +7,9 @@
 // (Def 8.4) and rectangle range counts (Sec 8.2.3) lower to sets of count
 // queries.
 //
-// The lift/lower analysis (Def 8.1) and the sparsity test (Def 8.2) live
-// here; the policy graph built from them is in core/policy_graph.h.
+// The lift/lower analysis (Def 8.1) lives here; the sparsity test
+// (Def 8.2) and the policy graph built from it are in
+// core/policy_graph.h.
 
 #ifndef BLOWFISH_CORE_CONSTRAINTS_H_
 #define BLOWFISH_CORE_CONSTRAINTS_H_
@@ -21,7 +22,6 @@
 
 #include "core/dataset.h"
 #include "core/domain.h"
-#include "core/secret_graph.h"
 #include "util/status.h"
 
 namespace blowfish {
@@ -46,12 +46,6 @@ class CountQuery {
   }
   bool LoweredBy(ValueIndex x, ValueIndex y) const {
     return Matches(x) && !Matches(y);
-  }
-
-  /// A secret pair (x, y) is *critical* to q (Sec 4.1) iff changing a tuple
-  /// between x and y changes q's answer — i.e. phi(x) != phi(y).
-  bool CriticalPair(ValueIndex x, ValueIndex y) const {
-    return Matches(x) != Matches(y);
   }
 
  private:
@@ -131,8 +125,8 @@ class ConstraintSet {
 
   /// True iff any query is pinned — i.e. the set actually restricts I_Q.
   /// A set of only unpinned queries is semantically unconstrained: the
-  /// engine's constrained machinery (union-scale parallel groups, the
-  /// critical-set predicate) keys off this, not off size().
+  /// engine's constrained machinery (union-scale parallel groups) keys
+  /// off this, not off size().
   bool AnyPinned() const {
     for (const auto& a : answers_) {
       if (a.has_value()) return true;
@@ -152,57 +146,11 @@ class ConstraintSet {
   std::vector<size_t> LiftedPinned(ValueIndex x, ValueIndex y) const;
   std::vector<size_t> LoweredPinned(ValueIndex x, ValueIndex y) const;
 
-  /// Def 8.2 sparsity w.r.t. a secret graph: every edge (in either
-  /// orientation) lifts at most one query and lowers at most one query.
-  /// Enumerates up to `max_edges` edges; structured cases (marginals over a
-  /// full/attr graph) should prefer the closed-form theorems in
-  /// core/policy_graph.h.
-  StatusOr<bool> IsSparse(const SecretGraph& graph, uint64_t max_edges) const;
-
  private:
   std::vector<CountQuery> queries_;
   std::vector<std::optional<uint64_t>> answers_;
   std::vector<Rectangle> rectangles_;
 };
-
-/// Per-cell critical sets under a partition secret graph G^P (Sec 4.1
-/// refined). Under G^P every edge lives inside one partition cell, so a
-/// constraint's critical set projects to a set of *cells*: cell c is
-/// critical for q iff some edge inside c flips q's predicate. Two cells
-/// are *coupled* when a constraint is critical on both (a move in one
-/// can force a compensating move in the other to stay inside I_Q);
-/// coupled components are the transitive closure. A minimal
-/// (G, Q)-neighbour step is confined to a single coupled component:
-/// restricting its moves to one component yields a database that still
-/// satisfies every constraint (each constraint's critical cells lie in
-/// one component), contradicting minimality (Def 4.1, condition 3) if a
-/// second component were touched. This is what makes parallel
-/// composition over cell-disjoint queries provable on constrained
-/// policies (CellGroupsSeparateComponents below).
-struct CellCriticalSets {
-  /// critical_cells[i]: sorted cells on which constraint i has a
-  /// critical edge (empty iff crit(q_i) is empty under G^P; always
-  /// empty for unpinned queries, which restrict nothing).
-  std::vector<std::vector<uint64_t>> critical_cells;
-  /// Coupled components, each a sorted cell list; deterministic order
-  /// (by smallest cell).
-  std::vector<std::vector<uint64_t>> component_cells;
-};
-
-/// Computes the per-cell critical sets of `constraints` w.r.t. a
-/// partition secret graph. Enumerates at most `max_edges` edges.
-StatusOr<CellCriticalSets> ComputeCellCriticalSets(
-    const ConstraintSet& constraints, const PartitionGraph& graph,
-    uint64_t max_edges);
-
-/// Refined Thm 4.3 for cell-restricted queries under G^P: true iff no
-/// coupled component of `critical_sets` intersects two members' cell
-/// sets, the condition under which a parallel group of pairwise-disjoint
-/// cell sets costs max(eps). The engine memoizes the critical sets per
-/// policy and calls this per group.
-bool CellGroupsSeparateComponents(
-    const CellCriticalSets& critical_sets,
-    const std::vector<std::vector<uint64_t>>& member_cells);
 
 }  // namespace blowfish
 

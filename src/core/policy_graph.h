@@ -87,8 +87,8 @@ class PolicyGraph {
 /// one step is at most the sum over its moves of ||M (e_x - e_y)||_1,
 /// so S(f, P) is bounded by the heaviest valid simple cycle / simple
 /// v+ -> v- path. A cell-restricted histogram pays only for move
-/// endpoints inside its cells (the per-cell critical-set analysis of
-/// the constrained parallel-composition path); a value-weighted sum
+/// endpoints inside its cells (the per-cell sensitivity behind the
+/// constrained parallel-composition path); a value-weighted sum
 /// pays |v(x) - v(y)| per move.
 ///
 /// Two further differences from PolicyGraph (which keeps the paper's

@@ -235,14 +235,4 @@ std::vector<uint64_t> SortedUnionCells(
   return union_cells;
 }
 
-StatusOr<double> ConstrainedUnionCellsSensitivity(
-    const Policy& policy,
-    const std::vector<std::vector<uint64_t>>& member_cells,
-    uint64_t max_edges, uint64_t max_pairs,
-    size_t max_policy_graph_vertices) {
-  return ConstrainedCellHistogramSensitivity(
-      policy, SortedUnionCells(member_cells), max_edges, max_pairs,
-      max_policy_graph_vertices);
-}
-
 }  // namespace blowfish

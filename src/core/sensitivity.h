@@ -154,7 +154,7 @@ class ValueWeightedSumQuery final : public LinearQuery {
 /// one output row per domain value whose cell is in the set, in domain
 /// order. Moving a tuple across an edge of G^P changes two rows if the
 /// edge's (shared) cell is included, none otherwise — the weight that
-/// drives the per-cell critical-set sensitivity below. The payload of
+/// drives the per-cell sensitivity below. The payload of
 /// the `cell_histogram` QueryOp.
 class CellRestrictedHistogramQuery final : public LinearQuery {
  public:
@@ -253,16 +253,16 @@ StatusOr<double> ConstrainedLinearQuerySensitivity(
     const LinearQuery& query, const Policy& policy, uint64_t max_edges,
     uint64_t max_pairs, size_t max_policy_graph_vertices);
 
-/// Per-cell critical-set sensitivity of the histogram restricted to
-/// `cells` under a partition secret graph: each move of a neighbour step
-/// pays 2 iff its cell is in the set, so S is the heaviest chain of
-/// in-set moves (0 when every included cell is a singleton). Requires
-/// the policy's graph to be a PartitionGraph; handles both constrained
-/// and unconstrained policies. Without pinned constraints it is the
-/// closed form read off the cell index: every G^P edge lies inside one
-/// cell and moves two included rows iff that cell is in the set, so
-/// S = 2 if some selected cell has >= 2 members and 0 otherwise — no
-/// edge enumeration, so no `max_edges` refusal.
+/// Per-cell sensitivity of the histogram restricted to `cells` under a
+/// partition secret graph: each move of a neighbour step pays 2 iff its
+/// cell is in the set, so S is the heaviest chain of in-set moves (0
+/// when every included cell is a singleton). Requires the policy's
+/// graph to be a PartitionGraph; handles both constrained and
+/// unconstrained policies. Without pinned constraints it is the closed
+/// form read off the cell index: every G^P edge lies inside one cell
+/// and moves two included rows iff that cell is in the set, so S = 2 if
+/// some selected cell has >= 2 members and 0 otherwise — no edge
+/// enumeration, so no `max_edges` refusal.
 StatusOr<double> ConstrainedCellHistogramSensitivity(
     const Policy& policy, const std::vector<uint64_t>& cells,
     uint64_t max_edges, uint64_t max_pairs,
@@ -270,25 +270,11 @@ StatusOr<double> ConstrainedCellHistogramSensitivity(
 
 /// Sorted concatenation of several (disjoint) cell lists — the cell set
 /// of a whole parallel group, in the canonical order shared by noise
-/// calibration and cache keys.
+/// calibration and cache keys. On a constrained policy a parallel group
+/// is noised at the sensitivity of this union (why that suffices:
+/// engine/release_engine.h).
 std::vector<uint64_t> SortedUnionCells(
     const std::vector<std::vector<uint64_t>>& member_cells);
-
-/// The noise scale for every member of a *constrained* parallel group:
-/// ConstrainedCellHistogramSensitivity of the union of all members'
-/// cells. Per-member scales would be unsound — a neighbour step's
-/// compensating moves may land in ANY cell, so several members'
-/// histograms can change in one step; since the members' disjoint row
-/// sets concatenate to the union-restricted histogram,
-///   sum_m eps_m L1_m / S_union <= max_m eps_m,
-/// which is exactly the single max-epsilon parallel charge. The engine
-/// calls it for a group that CellGroupsSeparateComponents
-/// (core/constraints.h) has admitted.
-StatusOr<double> ConstrainedUnionCellsSensitivity(
-    const Policy& policy,
-    const std::vector<std::vector<uint64_t>>& member_cells,
-    uint64_t max_edges, uint64_t max_pairs,
-    size_t max_policy_graph_vertices);
 
 }  // namespace blowfish
 

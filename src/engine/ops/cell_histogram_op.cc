@@ -9,10 +9,9 @@
 // via ParallelCells(). Constrained policies are served too: each move
 // of a (G, Q)-neighbour step pays 2 iff its cell is in the set, so the
 // sensitivity is the weighted Thm 8.2 bound of
-// ConstrainedCellHistogramSensitivity (the per-cell critical-set
-// analysis), and the engine admits a parallel group with
-// ComputeCellCriticalSets + CellGroupsSeparateComponents
-// (core/constraints.h) instead of demanding empty critical sets.
+// ConstrainedCellHistogramSensitivity, and the engine admits a parallel
+// group on such a policy by noising every member at the sensitivity of
+// the union of the members' cells (engine/release_engine.h).
 
 #include <memory>
 #include <set>

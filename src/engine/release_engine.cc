@@ -263,7 +263,8 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
   // Strictly in request order, so refusals under contention hit the later
   // queries: sequential requests charge eps at their own position;
   // a parallel group charges max(eps) once (Thm 4.2/4.3), at its first
-  // member's position, after the structural-disjointness proof.
+  // member's position, once its cells are proven disjoint and, on a
+  // constrained policy, its union scale computes (see header comment).
   struct Group {
     std::vector<size_t> members;
   };
@@ -339,48 +340,25 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
           "parallel composition requires a partition (G^P) secret graph");
     }
     if (valid.ok() && pinned_constraints) {
-      // Refined Thm 4.3 (per-cell critical sets): a coupled component of
-      // the constraint analysis may intersect at most one member's cell
-      // set, since a minimal neighbour step's discriminative moves are
-      // confined to one component. The critical sets depend only on the
-      // immutable policy, so the secret-graph enumeration is memoized
-      // per engine. Unpinned-only constraint sets restrict nothing and
-      // skip the whole constrained path.
-      if (!cell_critical_sets_.has_value()) {
-        const auto* partition =
-            dynamic_cast<const PartitionGraph*>(&policy_.graph());
-        // Non-null: the partition requirement was checked above.
-        cell_critical_sets_ = ComputeCellCriticalSets(
-            policy_.constraints(), *partition, options_.max_edges);
-      }
-      if (!cell_critical_sets_->ok()) {
-        valid = cell_critical_sets_->status();
-      } else if (!CellGroupsSeparateComponents(cell_critical_sets_->value(),
-                                               member_cells)) {
-        valid = Status::FailedPrecondition(
-            "parallel group '" + key.second +
-            "': policy constraints couple cells across members (per-cell "
-            "critical sets, Thm 4.3); parallel composition refused");
-      }
-    }
-    if (valid.ok() && pinned_constraints) {
       // A constrained neighbour step's COMPENSATING moves can land in
       // any cell, so several members' histograms may change in one
       // step; every member is therefore noised at the shared
-      // union-cells sensitivity (core/sensitivity.h,
-      // ConstrainedUnionCellsSensitivity), cached under the sorted union
-      // shape.
+      // union-cells sensitivity, which alone makes the max(eps) charge
+      // sound (proof in release_engine.h). It is cached under the sorted
+      // union shape.
       // Unconstrained groups keep their per-member scales (a neighbour
       // is one in-cell move; Thm 4.2).
+      const std::vector<uint64_t> union_cells =
+          SortedUnionCells(member_cells);
       std::string shape = "h_cells[union";
-      for (uint64_t c : SortedUnionCells(member_cells)) {
+      for (uint64_t c : union_cells) {
         shape += "," + std::to_string(c);
       }
       shape += "]";
       auto union_sensitivity = cache_->GetOrCompute(
-          policy_fp_, shape, [this, &member_cells]() -> StatusOr<double> {
-            return ConstrainedUnionCellsSensitivity(
-                policy_, member_cells, options_.max_edges,
+          policy_fp_, shape, [this, &union_cells]() -> StatusOr<double> {
+            return ConstrainedCellHistogramSensitivity(
+                policy_, union_cells, options_.max_edges,
                 options_.max_pairs, options_.max_policy_graph_vertices);
           });
       if (!union_sensitivity.ok()) {

@@ -41,21 +41,18 @@
 // charged max(eps) instead of sum(eps). The engine only accepts groups it
 // can prove structurally disjoint: every member's op must expose its G^P
 // partition cells (QueryOp::ParallelCells — today only cell-restricted
-// histograms do), the cell sets must be pairwise disjoint under a
+// histograms do), and the cell sets must be pairwise disjoint under a
 // partition secret graph (an individual's cell is public under G^P, so
-// disjoint cell sets touch disjoint individuals, Thm 4.2), and on a
-// constrained policy the group must pass the refined Thm 4.3 check
-// (core/constraints.h: ComputeCellCriticalSets, memoized per engine,
-// then CellGroupsSeparateComponents per group): no coupled component of
-// the per-cell critical-set analysis may intersect two members' cell
-// sets. Constraints with non-empty critical sets are fine
-// as long as each one's critical cells stay within a single member (or
-// outside the group entirely). Admitted constrained groups are noised
-// at the shared union-cells sensitivity rather than per member: a
-// neighbour step's compensating moves can land in any cell, so several
-// members' histograms may change in one step, and the union scale is
-// what makes the single max-epsilon charge sound
-// (sum_m eps_m L1_m / S_union <= max_m eps_m).
+// disjoint cell sets touch disjoint individuals, Thm 4.2). On a policy
+// with pinned constraints a neighbour step's compensating moves can land
+// in any cell, so several members' histograms may change in one step;
+// every member is then noised at the shared union-cells sensitivity
+// S_union instead of its own, and that scale alone is the admission
+// proof: the members' rows concatenate to the union-restricted
+// histogram, so every neighbour pair loses
+// sum_m eps_m L1_m / S_union <= max_m eps_m, whichever constraint
+// couples the members' cells. A group whose S_union does not compute is refused with that status and
+// charged nothing.
 
 #ifndef BLOWFISH_ENGINE_RELEASE_ENGINE_H_
 #define BLOWFISH_ENGINE_RELEASE_ENGINE_H_
@@ -65,11 +62,9 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/constraints.h"
 #include "core/dataset.h"
 #include "core/policy.h"
 #include "engine/budget_accountant.h"
@@ -280,11 +275,6 @@ class ReleaseEngine {
   uint64_t root_seed_;
   /// Next RNG stream id; monotone across batches. Guarded by serve_mu_.
   uint64_t next_stream_ = 0;
-  /// Lazily computed per-cell critical sets of the policy's pinned
-  /// constraints (a pure function of the immutable policy) — the
-  /// secret-graph enumeration behind the parallel-group predicate runs
-  /// once per engine, not once per batch. Guarded by serve_mu_.
-  std::optional<StatusOr<CellCriticalSets>> cell_critical_sets_;
   /// Telemetry. The registry/tracer pointers are resolved at
   /// construction and never null; the per-kind and per-code maps are
   /// guarded by serve_mu_ (see KindMetricsFor).

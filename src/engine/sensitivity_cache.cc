@@ -76,12 +76,6 @@ size_t SensitivityCache::size() const {
   return lru_.size();
 }
 
-void SensitivityCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  index_.clear();
-}
-
 void SensitivityCache::PutLocked(const std::string& key,
                                  double sensitivity) {
   auto it = index_.find(key);

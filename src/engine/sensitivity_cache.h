@@ -80,7 +80,6 @@ class SensitivityCache {
   Stats stats() const;
   size_t size() const;
   size_t capacity() const { return capacity_; }
-  void Clear();
 
   /// Text serialization, so a restarted process starts warm instead of
   /// re-running the NP-hard bounds. Format: a version header, then one

@@ -25,6 +25,7 @@
 #include "core/constraints.h"
 #include "core/policy.h"
 #include "core/secret_graph.h"
+#include "core/sensitivity.h"
 #include "engine/batch_request.h"
 #include "engine/release_engine.h"
 #include "server/engine_host.h"
@@ -53,7 +54,8 @@ Dataset MakeData(const std::shared_ptr<const Domain>& domain, size_t n,
 }
 
 /// Fixture A: Line(8) split into G^P cells {0..3} / {4..7}, one count
-/// constraint #(x < 2) pinned from the dataset. Critical only in cell 0.
+/// constraint #(x < 2) pinned from the dataset. Its support lies in
+/// cell 0.
 Policy FixtureA(const std::shared_ptr<const Domain>& domain,
                 const Dataset& data) {
   auto part = PartitionGraph::UniformGrid(domain, {2}).value();
@@ -70,7 +72,7 @@ Policy FixtureA(const std::shared_ptr<const Domain>& domain,
 /// Fixture B: Line(16) split into four G^P cells of four values, two
 /// disjoint-interval count constraints pinned from the dataset
 /// (disjoint supports keep the all-pairs Def 8.2 sparsity: no single
-/// move can lift or lower both). Critical in cells 0 and 2.
+/// move can lift or lower both). Their supports lie in cells 0 and 2.
 Policy FixtureB(const std::shared_ptr<const Domain>& domain,
                 const Dataset& data) {
   auto part = PartitionGraph::UniformGrid(domain, {4}).value();
@@ -369,16 +371,14 @@ TEST(ConstrainedOpsE2ETest, HierRangeRefusesWithStructuredStatus) {
   }
 }
 
-TEST(ConstrainedOpsE2ETest, StraddlingGroupRefusedCoherentGroupServed) {
-  // Fixture B's constraint "lo" is critical in cell 0 and "hi" in cell
-  // 2 (two singleton coupled components). A group splitting cells
-  // {0, 1} / {2, 3} keeps each component inside one member and is
-  // served; a group splitting {0, 2} / {1, 3} cannot be refused on
-  // component grounds — each component still touches one member — but
-  // one pairing two critical cells of ONE constraint across members
-  // requires a straddling constraint. Build one: a single interval
-  // spanning cells 0 and 1 couples them into one component, and the
-  // {0} / {1} grouping is refused.
+TEST(ConstrainedOpsE2ETest, StraddlingGroupServedAtUnionScale) {
+  // Fixture B's constraint "lo" lives in cell 0 and "hi" in cell 2. A
+  // group splitting cells {0, 1} / {2, 3} is served. So is a group whose
+  // members a constraint couples: a single pinned interval spanning
+  // cells 0 and 1 makes the {0} / {1} grouping straddle it, yet both
+  // members are noised at the union-cells sensitivity of {0, 1}, which
+  // bounds the whole group's L1 change per neighbour step whichever
+  // cells the step touches, so the group costs max(eps) once.
   auto domain = LineDomain(16);
   Dataset data = MakeData(domain, 200, 13);
   Policy policy = FixtureB(domain, data);
@@ -401,25 +401,65 @@ TEST(ConstrainedOpsE2ETest, StraddlingGroupRefusedCoherentGroupServed) {
                      std::shared_ptr<const SecretGraph>(part.release()),
                      std::move(straddling))
           .value();
+  const ReleaseEngineOptions defaults;
+  auto s_union = ConstrainedCellHistogramSensitivity(
+      coupled, {0, 1}, defaults.max_edges, defaults.max_pairs,
+      defaults.max_policy_graph_vertices);
+  ASSERT_TRUE(s_union.ok()) << s_union.status().ToString();
   auto coupled_engine = MakeEngine(coupled, data);
-  auto refused = coupled_engine->ServeBatch(ParseBatchRequests(
+  auto served = coupled_engine->ServeBatch(ParseBatchRequests(
+      "cell_histogram eps=0.125 cells=0 group=g\n"
+      "cell_histogram eps=0.125 cells=1 group=g\n").value());
+  ASSERT_EQ(served.size(), 2u);
+  for (const QueryResponse& r : served) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.receipt.parallel);
+    EXPECT_DOUBLE_EQ(r.sensitivity, *s_union);
+    EXPECT_EQ(r.values.size(), 4u);
+  }
+  EXPECT_DOUBLE_EQ(coupled_engine->accountant().Spent(""), 0.125);
+}
+
+TEST(ConstrainedOpsE2ETest, UnionScaleFailureRefusesGroupAtZeroCharge) {
+  // Two overlapping pinned intervals: the move 0 -> 4 lifts both, so
+  // the constraints are not sparse over value pairs and no union-cells
+  // sensitivity exists. The group is refused as a whole, before any
+  // charge.
+  auto domain = LineDomain(16);
+  Dataset data = MakeData(domain, 200, 13);
+  auto part = PartitionGraph::UniformGrid(domain, {4}).value();
+  ConstraintSet overlapping;
+  CountQuery a("a", [](ValueIndex x) { return x >= 1 && x <= 5; });
+  CountQuery b("b", [](ValueIndex x) { return x >= 3 && x <= 6; });
+  const uint64_t a_answer = a.Evaluate(data);
+  const uint64_t b_answer = b.Evaluate(data);
+  overlapping.AddWithAnswer(std::move(a), a_answer);
+  overlapping.AddWithAnswer(std::move(b), b_answer);
+  Policy policy =
+      Policy::Create(domain,
+                     std::shared_ptr<const SecretGraph>(part.release()),
+                     std::move(overlapping))
+          .value();
+  auto engine = MakeEngine(policy, data);
+  auto refused = engine->ServeBatch(ParseBatchRequests(
       "cell_histogram eps=0.125 cells=0 group=g\n"
       "cell_histogram eps=0.125 cells=1 group=g\n").value());
   ASSERT_EQ(refused.size(), 2u);
-  EXPECT_EQ(refused[0].status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(refused[0].status.message().find("couple cells"),
-            std::string::npos)
-      << refused[0].status.message();
-  // The refused group charged nothing.
-  EXPECT_DOUBLE_EQ(coupled_engine->accountant().Spent(""), 0.0);
+  for (const QueryResponse& r : refused) {
+    EXPECT_EQ(r.status.code(), StatusCode::kFailedPrecondition)
+        << r.status.ToString();
+    EXPECT_NE(r.status.message().find("not sparse"), std::string::npos)
+        << r.status.message();
+  }
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.0);
 }
 
 TEST(ConstrainedOpsE2ETest, WholeCellCountsAdmitGroupAtMaxEpsilon) {
   // The closing example of Sec 4.1: Line(6) cut into cells {0, 1, 2}
-  // and {3, 4, 5}, with the count of each whole cell publicly known. No
-  // G^P edge leaves a cell, so no edge changes either count: the
-  // critical sets are empty, no coupled component exists, and the group
-  // is admitted and charged once at max(eps).
+  // and {3, 4, 5}, with the count of each whole cell publicly known.
+  // The cells are disjoint and the union scale is finite, so the group
+  // is admitted, both members share that scale, and the group is
+  // charged once at max(eps).
   auto domain = LineDomain(6);
   Dataset data = MakeData(domain, 60);
   auto part = PartitionGraph::UniformGrid(domain, {2}).value();
@@ -453,10 +493,10 @@ TEST(ConstrainedOpsE2ETest, WholeCellCountsAdmitGroupAtMaxEpsilon) {
 
 TEST(ConstrainedOpsE2ETest, ConfinedGroupNoisedAtUnionScale) {
   // Line(6) cut into cells {0..3} and {4, 5}, one pinned count of
-  // {1, 2}: critical only inside cell 0, so a {0} / {1} group is
-  // admitted. A compensating move can still carry a tuple from cell 0
-  // into cell 1, so both members are noised at the union-cells scale
-  // S = 4 (cell 1 alone would be 2), and the group costs max(eps) once.
+  // {1, 2} inside cell 0. A compensating move can carry a tuple from
+  // cell 0 into cell 1, so both members are noised at the union-cells
+  // scale S = 4 (cell 1 alone would be 2), and the group costs max(eps)
+  // once.
   auto domain = LineDomain(6);
   Dataset data = Dataset::Create(domain, {0, 2, 3, 4, 4, 5}).value();
   const std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1};

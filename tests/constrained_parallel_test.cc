@@ -1,5 +1,5 @@
 // Constrained-policy parallel composition: randomized cross-checks of
-// the per-cell critical-set analysis against the brute-force Def 4.1
+// the per-cell sensitivity analysis against the brute-force Def 4.1
 // oracle on tiny domains (mirroring randomized_crosscheck_test.cc), plus
 // hand-built fixtures where the weighted Thm 8.2 bound is exact.
 //
@@ -7,18 +7,13 @@
 //  * soundness of the analytic per-cell sensitivity: it dominates the
 //    exhaustive max over all (G, Q)-neighbour pairs, for cell-restricted
 //    histograms and for value-weighted sums (mean);
-//  * the structural half of the refined Thm 4.3: whenever the engine's
-//    admission predicate (ComputeCellCriticalSets followed by
-//    CellGroupsSeparateComponents, the sequence ReleaseEngine::ServeBatch
-//    runs) accepts a grouping, no neighbour pair's DISCRIMINATIVE set
-//    (its G^P-edge changes) touches cells of two different members;
-//  * the accounting half: compensating moves are NOT so confined (they
-//    may land in any cell, Def 4.1 condition 3(b)), so the engine noises
-//    every member of a constrained group at the UNION-cells sensitivity
-//    — sound because the members' restricted histograms concatenate to
-//    the union-restricted histogram, giving
-//    sum_g eps_g * L1_g / S_union <= max_g eps_g for every neighbour
-//    pair; the inequality sum_g L1_g <= S_union is checked exhaustively;
+//  * the soundness of constrained parallel groups as the engine serves
+//    them: a neighbour step's compensating moves may land in any cell
+//    (Def 4.1 condition 3(b)), so ReleaseEngine noises every member of
+//    a constrained group at the UNION-cells sensitivity S_union (proof
+//    in engine/release_engine.h); sum_g L1_g <= S is checked
+//    exhaustively against the scale S the engine reports for each
+//    member, together with the single max-epsilon charge;
 //  * the group-privacy move bound used by wavelet_range: no neighbour
 //    pair changes more than S(h, P) / 2 tuples — counting ALL changed
 //    tuples, compensations included, since each is one replacement the
@@ -33,10 +28,10 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/constraints.h"
@@ -45,6 +40,8 @@
 #include "core/policy_graph.h"
 #include "core/secret_graph.h"
 #include "core/sensitivity.h"
+#include "engine/batch_request.h"
+#include "engine/release_engine.h"
 #include "util/random.h"
 
 namespace blowfish {
@@ -123,31 +120,10 @@ double OracleCellSensitivity(const Policy& policy,
   return BruteForceSensitivity(policy, n, 100000, f).value();
 }
 
-/// The engine's admission predicate for a parallel group on a pinned
-/// G^P policy, as ReleaseEngine::ServeBatch runs it: the per-cell
-/// critical sets of the policy's constraints, then the
-/// component-separation test over the members' cell sets.
-bool EngineAdmitsGrouping(const Policy& policy,
-                          const std::vector<std::vector<uint64_t>>& members) {
-  const auto* partition =
-      dynamic_cast<const PartitionGraph*>(&policy.graph());
-  if (partition == nullptr) {
-    ADD_FAILURE() << "parallel groups need a partition secret graph";
-    return false;
-  }
-  auto crit =
-      ComputeCellCriticalSets(policy.constraints(), *partition, kMaxEdges);
-  if (!crit.ok()) {
-    ADD_FAILURE() << crit.status().ToString();
-    return false;
-  }
-  return CellGroupsSeparateComponents(*crit, members);
-}
-
 class ConstrainedParallelTest : public ::testing::TestWithParam<int> {};
 
-// Randomized: the analytic per-cell critical-set sensitivity dominates
-// the exhaustive neighbour-pair maximum for every sampled cell subset.
+// Randomized: the analytic per-cell sensitivity dominates the
+// exhaustive neighbour-pair maximum for every sampled cell subset.
 TEST_P(ConstrainedParallelTest, PerCellSensitivityDominatesOracle) {
   Random rng(5000 + GetParam());
   const uint64_t n = 4 + GetParam() % 3;  // |T| in {4, 5, 6}
@@ -255,64 +231,13 @@ TEST_P(ConstrainedParallelTest, SignedScalarBoundTightensMagnitudeBound) {
   EXPECT_LE(*signed_bound, *magnitude + 1e-9) << "seed " << GetParam();
 }
 
-// Randomized structural harness for the refined Thm 4.3: when the
-// predicate accepts a grouping, exhaustive enumeration of N(P) finds no
-// neighbour pair whose DISCRIMINATIVE changes (G^P-edge moves — the
-// secret pairs actually protected) touch two different members' cell
-// sets. Compensating moves are deliberately not counted here: they can
-// land in any cell, which is why a constrained group's noise is
-// calibrated to the union-cells sensitivity (next test), not per
-// member.
-TEST_P(ConstrainedParallelTest, AcceptedGroupingsNeverStraddledByNeighbors) {
-  Random rng(7000 + GetParam());
-  const uint64_t n = 4 + GetParam() % 3;
-  const uint64_t num_cells = 2 + GetParam() % 2;
-  auto domain = LineDomain(n);
-  std::vector<uint64_t> cell_of = RandomCells(n, num_cells, rng);
-  ConstraintSet cs = RandomPinnedConstraints(domain, 2, rng);
-  Policy policy =
-      Policy::Create(domain, MakePartition(cell_of), std::move(cs)).value();
-
-  // Random 2-way split of the cells into member cell sets.
-  std::vector<std::vector<uint64_t>> members(2);
-  for (uint64_t c = 0; c < num_cells; ++c) {
-    members[rng.Bernoulli(0.5) ? 1 : 0].push_back(c);
-  }
-  if (members[0].empty() || members[1].empty()) return;
-
-  // Conservative refusals are always allowed.
-  if (!EngineAdmitsGrouping(policy, members)) return;
-
-  auto neighborhood = EnumerateNeighbors(policy, 2, 100000).value();
-  for (const auto& [i, j] : neighborhood.neighbor_pairs) {
-    const Dataset& d1 = neighborhood.universe[i];
-    const Dataset& d2 = neighborhood.universe[j];
-    std::set<size_t> touched_members;
-    for (const auto& [id, x, y] : DiscriminativeSet(policy, d1, d2)) {
-      (void)id;
-      (void)y;  // y shares x's cell: G^P edges stay inside one cell
-      for (size_t m = 0; m < members.size(); ++m) {
-        if (std::find(members[m].begin(), members[m].end(), cell_of[x]) !=
-            members[m].end()) {
-          touched_members.insert(m);
-        }
-      }
-    }
-    EXPECT_LE(touched_members.size(), 1u)
-        << "seed " << GetParam()
-        << ": an accepted grouping is straddled by a neighbour pair";
-  }
-}
-
-// Randomized accounting harness: the union-cells sensitivity every
-// member of a constrained parallel group is noised at makes max-epsilon
-// composition sound. The members' cell-restricted histograms are a
-// disjoint row split of the union-restricted histogram, so for every
-// exhaustively enumerated neighbour pair
-//   sum_g ||f_g(D1) - f_g(D2)||_1 = ||f_union(D1) - f_union(D2)||_1
-//                                 <= S_union,
-// and a Laplace release of each member at scale S_union / eps_g loses
-// sum_g eps_g L1_g / S_union <= max_g eps_g in total.
+// Randomized accounting harness: the scale ReleaseEngine applies to a
+// constrained parallel group makes its single max-epsilon charge sound.
+// The engine noises every member at the union-cells sensitivity S_union
+// (proof in engine/release_engine.h); for every exhaustively enumerated
+// neighbour pair, sum_g ||f_g(D1) - f_g(D2)||_1 <= S_union is checked
+// against the sensitivity each served member reports, not a
+// recomputation.
 TEST_P(ConstrainedParallelTest, UnionSensitivityCoversGroupLoss) {
   Random rng(9000 + GetParam());
   const uint64_t n = 4 + GetParam() % 3;
@@ -329,17 +254,39 @@ TEST_P(ConstrainedParallelTest, UnionSensitivityCoversGroupLoss) {
   }
   if (members[0].empty() || members[1].empty()) return;
 
-  std::vector<uint64_t> union_cells;
-  for (const auto& m : members) {
-    union_cells.insert(union_cells.end(), m.begin(), m.end());
+  // Serve the grouping: member 0 at eps 0.5, member 1 at eps 0.25. The
+  // served data is irrelevant to the scale, so any dataset will do.
+  const double member_eps[] = {0.5, 0.25};
+  std::vector<QueryRequest> batch;
+  for (size_t m = 0; m < members.size(); ++m) {
+    std::string cells;
+    for (uint64_t c : members[m]) {
+      cells += (cells.empty() ? "" : ",") + std::to_string(c);
+    }
+    batch.push_back(MakeQueryRequest("cell_histogram", member_eps[m],
+                                     {{"cells", cells}, {"group", "g"}})
+                        .value());
   }
-  std::sort(union_cells.begin(), union_cells.end());
-  auto s_union = ConstrainedCellHistogramSensitivity(
-      policy, union_cells, kMaxEdges, kMaxEdges, kMaxVertices);
-  if (!s_union.ok()) {
-    EXPECT_EQ(s_union.status().code(), StatusCode::kFailedPrecondition);
+  Dataset data = Dataset::Create(domain, {0, n - 1}).value();
+  auto engine = ReleaseEngine::Create(policy, data, ReleaseEngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const std::vector<QueryResponse> responses = (*engine)->ServeBatch(batch);
+  ASSERT_EQ(responses.size(), 2u);
+  if (!responses[0].status.ok()) {
+    // Non-sparse draws are refused as a group, never served unsoundly,
+    // and the refusal charges nothing.
+    EXPECT_EQ(responses[0].status.code(), StatusCode::kFailedPrecondition)
+        << responses[0].status.ToString();
+    EXPECT_EQ(responses[1].status.code(), responses[0].status.code());
+    EXPECT_DOUBLE_EQ((*engine)->accountant().Spent(""), 0.0);
     return;
   }
+  ASSERT_TRUE(responses[1].status.ok()) << responses[1].status.ToString();
+  const double scale = responses[0].sensitivity;
+  EXPECT_DOUBLE_EQ(responses[1].sensitivity, scale);
+  for (const QueryResponse& r : responses) EXPECT_TRUE(r.receipt.parallel);
+  EXPECT_DOUBLE_EQ((*engine)->accountant().Spent(""),
+                   scale > 0.0 ? member_eps[0] : 0.0);
 
   auto neighborhood = EnumerateNeighbors(policy, 2, 100000).value();
   for (const auto& [i, j] : neighborhood.neighbor_pairs) {
@@ -366,7 +313,7 @@ TEST_P(ConstrainedParallelTest, UnionSensitivityCoversGroupLoss) {
         total_l1 += std::fabs(h1[r] - h2[r]);
       }
     }
-    EXPECT_LE(total_l1, *s_union + 1e-9) << "seed " << GetParam();
+    EXPECT_LE(total_l1, scale + 1e-9) << "seed " << GetParam();
   }
 }
 
@@ -453,40 +400,6 @@ TEST(ConstrainedCellFixtureTest, AnalyticMatchesOracleExactly) {
     EXPECT_DOUBLE_EQ(oracle, c.oracle);
     EXPECT_LE(oracle, *analytic);
   }
-}
-
-TEST(ConstrainedCellFixtureTest, PredicateConfinedVsStraddling) {
-  auto domain = LineDomain(6);
-  Policy confined = CoupledCellFixture(domain);
-  // The constraint's only coupled component is {cell 0}: a grouping
-  // with one member per cell is accepted...
-  EXPECT_TRUE(EngineAdmitsGrouping(confined, {{0}, {1}}));
-
-  // ...but a constraint critical in both cells couples them into one
-  // component, and the same grouping is refused.
-  std::vector<uint64_t> cell_of{0, 0, 0, 0, 1, 1};
-  ConstraintSet straddling;
-  straddling.AddWithAnswer(
-      CountQuery("both", [](ValueIndex x) { return x == 1 || x == 4; }), 1);
-  Policy coupled = Policy::Create(domain, MakePartition(cell_of),
-                                  std::move(straddling))
-                       .value();
-  EXPECT_FALSE(EngineAdmitsGrouping(coupled, {{0}, {1}}));
-}
-
-TEST(ConstrainedCellFixtureTest, CriticalSetsAndComponents) {
-  auto domain = LineDomain(6);
-  Policy policy = CoupledCellFixture(domain);
-  const auto* partition =
-      dynamic_cast<const PartitionGraph*>(&policy.graph());
-  ASSERT_NE(partition, nullptr);
-  auto crit = ComputeCellCriticalSets(policy.constraints(), *partition,
-                                      kMaxEdges)
-                  .value();
-  ASSERT_EQ(crit.critical_cells.size(), 1u);
-  EXPECT_EQ(crit.critical_cells[0], std::vector<uint64_t>{0});
-  ASSERT_EQ(crit.component_cells.size(), 1u);
-  EXPECT_EQ(crit.component_cells[0], std::vector<uint64_t>{0});
 }
 
 TEST(SignedScalarFixtureTest, SignedBoundExactWhereMagnitudeOverNoises) {

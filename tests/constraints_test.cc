@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "core/policy_graph.h"
 #include "core/secret_graph.h"
 
 namespace blowfish {
@@ -26,7 +27,7 @@ TEST(CountQueryTest, EvaluateAndMatch) {
   EXPECT_EQ(q.Evaluate(d), 3u);
 }
 
-TEST(CountQueryTest, LiftLowerCritical) {
+TEST(CountQueryTest, LiftLower) {
   CountQuery q("low", [](ValueIndex x) { return x < 5; });
   // 7 -> 3 enters the predicate: lift.
   EXPECT_TRUE(q.LiftedBy(7, 3));
@@ -37,9 +38,6 @@ TEST(CountQueryTest, LiftLowerCritical) {
   // No boundary crossed.
   EXPECT_FALSE(q.LiftedBy(1, 2));
   EXPECT_FALSE(q.LoweredBy(8, 9));
-  // Critical iff the answer changes in either direction.
-  EXPECT_TRUE(q.CriticalPair(3, 7));
-  EXPECT_FALSE(q.CriticalPair(1, 2));
 }
 
 TEST(RectangleTest, ContainsAndPoint) {
@@ -148,25 +146,29 @@ TEST(ConstraintSetTest, RectangleValidation) {
   EXPECT_EQ(q.rectangles().size(), 1u);
 }
 
+// Def 8.2 sparsity is checked where the policy graph is built:
+// PolicyGraph::Build succeeds on sparse constraints and refuses
+// non-sparse ones with FailedPrecondition.
+
 // Example 8.1: the 2x2x3 domain with the [A1,A2] marginal queries is
 // sparse w.r.t. the full-domain graph.
-TEST(ConstraintSetTest, Example81MarginalIsSparse) {
+TEST(ConstraintSetTest, Example81MarginalSparseUnderFullGraph) {
   auto dom = MakeDomain223();
   ConstraintSet q;
   ASSERT_TRUE(q.AddMarginal(dom, Marginal{{0, 1}}).ok());
   FullGraph g(dom->size());
-  EXPECT_TRUE(q.IsSparse(g, uint64_t{1} << 20).value());
+  EXPECT_TRUE(PolicyGraph::Build(q, g, uint64_t{1} << 20).ok());
 }
 
 // Two overlapping predicates break sparsity: one move can lift both.
 TEST(ConstraintSetTest, OverlappingQueriesNotSparse) {
-  auto dom = std::make_shared<const Domain>(Domain::Line(10).value());
   ConstraintSet q;
   q.Add(CountQuery("ge5", [](ValueIndex x) { return x >= 5; }));
   q.Add(CountQuery("ge7", [](ValueIndex x) { return x >= 7; }));
-  FullGraph g(dom->size());
+  FullGraph g(10);
   // Moving 0 -> 9 lifts both queries.
-  EXPECT_FALSE(q.IsSparse(g, uint64_t{1} << 20).value());
+  EXPECT_EQ(PolicyGraph::Build(q, g, uint64_t{1} << 20).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // The same overlapping queries *are* sparse w.r.t. a line graph, where
@@ -176,7 +178,7 @@ TEST(ConstraintSetTest, SparsityDependsOnGraph) {
   q.Add(CountQuery("ge5", [](ValueIndex x) { return x >= 5; }));
   q.Add(CountQuery("ge7", [](ValueIndex x) { return x >= 7; }));
   LineGraph g(10);
-  EXPECT_TRUE(q.IsSparse(g, uint64_t{1} << 20).value());
+  EXPECT_TRUE(PolicyGraph::Build(q, g, uint64_t{1} << 20).ok());
 }
 
 TEST(ConstraintSetTest, LiftedLoweredLists) {

@@ -89,8 +89,6 @@ TEST(EdgeCasesTest, EdgeBudgetPropagatesFromSparsityCheck) {
   cs.Add(CountQuery("any", [](ValueIndex) { return true; }));
   FullGraph g(1000);
   // 499500 edges >> 10 budget.
-  EXPECT_EQ(cs.IsSparse(g, 10).status().code(),
-            StatusCode::kResourceExhausted);
   EXPECT_EQ(PolicyGraph::Build(cs, g, 10).status().code(),
             StatusCode::kResourceExhausted);
 }

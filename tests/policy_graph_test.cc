@@ -33,7 +33,7 @@ class Example8Test : public ::testing::Test {
   std::shared_ptr<FullGraph> graph_;
 };
 
-TEST_F(Example8Test, BuildSucceedsAndIsSparse) {
+TEST_F(Example8Test, BuildPassesSparsityCheck) {
   EXPECT_TRUE(PolicyGraph::Build(constraints_, *graph_, kMaxEdges).ok());
 }
 
