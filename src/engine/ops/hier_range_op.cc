@@ -9,7 +9,9 @@
 // fan-out-f H subtrees answer intra-block prefixes. theta = scale
 // degenerates to the Ordered Mechanism, theta = |T| to the classical
 // hierarchical mechanism; Eqn 15 picks the optimal budget split when
-// eps_s_fraction is not given.
+// eps_s_fraction is not given; a given split must lie in (0, 1). The
+// release draws only the nodes the range reads (see the mechanism
+// header), over the engine's memoized prefix sums S_T.
 //
 // Pinned-constrained policies are refused with a structured status: the
 // OH budget split calibrates each node class to the per-move distance
@@ -47,8 +49,22 @@ class HierRangeOp final : public QueryOp {
     BLOWFISH_RETURN_IF_ERROR(kv.TakeIndex("lo", &lo_));
     BLOWFISH_RETURN_IF_ERROR(kv.TakeIndex("hi", &hi_));
     BLOWFISH_RETURN_IF_ERROR(kv.TakeIndex("fanout", &options_.fanout));
-    BLOWFISH_RETURN_IF_ERROR(
-        kv.TakeDouble("eps_s_fraction", &options_.eps_s_fraction));
+    // Raw Take first: an absent key keeps the Eqn 15 optimum (-1), and
+    // any given value must lie in (0, 1). A split of 0 or 1 leaves the S
+    // or the H nodes without budget, which would publish them exactly,
+    // so it is refused here, before any charge.
+    std::optional<std::string> fraction = kv.Take("eps_s_fraction");
+    if (fraction.has_value()) {
+      kv.Add("eps_s_fraction", *fraction);
+      BLOWFISH_RETURN_IF_ERROR(
+          kv.TakeDouble("eps_s_fraction", &options_.eps_s_fraction));
+      if (!(options_.eps_s_fraction > 0.0 &&
+            options_.eps_s_fraction < 1.0)) {
+        return Status::InvalidArgument(
+            "'eps_s_fraction' must lie strictly between 0 and 1 " +
+            kv.context());
+      }
+    }
     std::optional<std::string> consistency = kv.Take("consistency");
     if (consistency.has_value()) {
       if (*consistency == "1" || *consistency == "true") {
@@ -113,13 +129,14 @@ class HierRangeOp final : public QueryOp {
     if (ctx.sensitivity == 0.0) {
       // Free release: an edgeless graph (theta < scale) never moves
       // mass, so the exact range count can be published.
-      BLOWFISH_ASSIGN_OR_RETURN(double exact, ctx.hist.RangeSum(lo_, hi_));
+      BLOWFISH_ASSIGN_OR_RETURN(
+          double exact, RangeFromCumulative(*ctx.cumulative, lo_, hi_));
       return std::vector<double>{exact};
     }
     BLOWFISH_ASSIGN_OR_RETURN(
         OrderedHierarchicalMechanism released,
-        OrderedHierarchicalMechanism::Release(ctx.hist, ctx.policy,
-                                              ctx.epsilon, options_, rng));
+        OrderedHierarchicalMechanism::Release(
+            ctx.cumulative, ctx.policy, ctx.epsilon, options_, rng));
     BLOWFISH_ASSIGN_OR_RETURN(double answer, released.RangeQuery(lo_, hi_));
     return std::vector<double>{answer};
   }

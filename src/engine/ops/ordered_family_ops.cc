@@ -8,7 +8,8 @@
 // theta in index units, Def 7.1) and differ only in the free
 // post-processing applied to it (mech/cdf_applications.h). A policy
 // whose graph is edgeless (theta < scale) publishes the exact prefix
-// sums for free. Pinned-constrained policies serve too: S(S_T, P)
+// sums for free. Both paths read the engine's memoized S_T instead of
+// summing h(D) again. Pinned-constrained policies serve too: S(S_T, P)
 // comes from the weighted chain analysis (Thm 8.2 generalized,
 // core/sensitivity.h) and rides into the mechanism as a sensitivity
 // override. `qs=` must be a strictly increasing list inside [0, 1]
@@ -60,24 +61,21 @@ class OrderedFamilyOp : public QueryOp {
 
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
-    std::vector<double> cumulative;
     if (ctx.sensitivity == 0.0) {
       // Free release: no pair of P-neighbours changes the cumulative
-      // histogram, so the exact prefix sums can be published.
-      cumulative = ctx.hist.CumulativeSums();
-    } else {
-      // The resolved S(S_T, P) rides along as the mechanism's noise
-      // calibration — the unconstrained value matches what the
-      // mechanism would compute itself (identical release), and the
-      // constrained chain bound is what lets it accept pinned policies.
-      BLOWFISH_ASSIGN_OR_RETURN(
-          OrderedMechanismResult released,
-          OrderedMechanism(ctx.hist, ctx.policy, ctx.epsilon, rng,
-                           /*constrained_inference=*/true,
-                           /*sensitivity_override=*/ctx.sensitivity));
-      cumulative = std::move(released.inferred_cumulative);
+      // histogram, so the engine's exact prefix sums can be published.
+      return PostProcess(*ctx.cumulative);
     }
-    return PostProcess(cumulative);
+    // The resolved S(S_T, P) rides along as the mechanism's noise
+    // calibration — the unconstrained value matches what the mechanism
+    // would compute itself (identical release), and the constrained
+    // chain bound is what lets it accept pinned policies.
+    BLOWFISH_ASSIGN_OR_RETURN(
+        OrderedMechanismResult released,
+        OrderedMechanism(*ctx.cumulative, ctx.policy, ctx.epsilon, rng,
+                         /*constrained_inference=*/true,
+                         /*sensitivity_override=*/ctx.sensitivity));
+    return PostProcess(released.inferred_cumulative);
   }
 
  protected:

@@ -102,9 +102,21 @@ struct SensitivityEnv {
 /// and shares across every query and batch (an empty histogram for ops
 /// whose NeedsHistogram() is false).
 struct QueryExecContext {
+  /// `cumulative` is the engine's memoized S_T. A context built without
+  /// one (a benchmark or test running an op directly) derives it from
+  /// `hist`. Defined in engine/release_engine.cc, next to the memo, so
+  /// S_T is derived in one place.
+  QueryExecContext(const Policy& policy, const Dataset& data,
+                   const Histogram& hist, double epsilon, double sensitivity,
+                   std::shared_ptr<const std::vector<double>> cumulative =
+                       nullptr);
+
   const Policy& policy;
   const Dataset& data;
   const Histogram& hist;
+  /// The exact prefix sums S_T of `hist` (Def 7.1) on a 1-D domain; null
+  /// on a multi-attribute domain or without h(D).
+  std::shared_ptr<const std::vector<double>> cumulative;
   /// The request's privacy parameter.
   double epsilon = 0.0;
   /// The resolved S(f, P); 0 means the release is exact and free.

@@ -20,7 +20,9 @@
 // Blowfish privacy. Unconstrained policies have S(h, P) = 2, so the
 // scale factor is exactly 1 and their releases are bit-identical to the
 // pre-constraint behaviour. An edgeless graph releases the exact range
-// for free, matching the engine's zero-sensitivity convention.
+// for free, matching the engine's zero-sensitivity convention. Both
+// paths read the engine's memoized prefix sums S_T; the noisy one draws
+// only the O(log |T|) coefficients the range reads.
 //
 // Before the QueryOp registry this mechanism existed in mech/ but was
 // unreachable from the serving path; the op is one file, with zero
@@ -80,8 +82,8 @@ class WaveletRangeOp final : public QueryOp {
   StatusOr<std::vector<double>> Execute(const QueryExecContext& ctx,
                                         Random rng) const override {
     if (ctx.sensitivity == 0.0) {
-      BLOWFISH_ASSIGN_OR_RETURN(double exact,
-                                ctx.hist.RangeSum(lo_, hi_));
+      BLOWFISH_ASSIGN_OR_RETURN(
+          double exact, RangeFromCumulative(*ctx.cumulative, lo_, hi_));
       return std::vector<double>{exact};
     }
     // Group privacy: a neighbour step is at most sensitivity / 2
@@ -93,7 +95,7 @@ class WaveletRangeOp final : public QueryOp {
                                : ctx.epsilon;
     BLOWFISH_ASSIGN_OR_RETURN(
         WaveletMechanism released,
-        WaveletMechanism::Release(ctx.hist, epsilon, rng));
+        WaveletMechanism::Release(ctx.cumulative, epsilon, rng));
     BLOWFISH_ASSIGN_OR_RETURN(double answer, released.RangeQuery(lo_, hi_));
     return std::vector<double>{answer};
   }

@@ -15,6 +15,32 @@
 
 namespace blowfish {
 
+namespace {
+
+/// S_T of a 1-D domain's h(D) (Def 7.1); null on a multi-attribute
+/// domain, where no op reads prefix sums, and without h(D).
+std::shared_ptr<const std::vector<double>> PrefixSumsOf(
+    const Policy& policy, const Histogram& hist) {
+  if (policy.domain().num_attributes() != 1 || hist.size() == 0) {
+    return nullptr;
+  }
+  return std::make_shared<const std::vector<double>>(hist.CumulativeSums());
+}
+
+}  // namespace
+
+QueryExecContext::QueryExecContext(
+    const Policy& policy, const Dataset& data, const Histogram& hist,
+    double epsilon, double sensitivity,
+    std::shared_ptr<const std::vector<double>> cumulative)
+    : policy(policy),
+      data(data),
+      hist(hist),
+      cumulative(cumulative != nullptr ? std::move(cumulative)
+                                       : PrefixSumsOf(policy, hist)),
+      epsilon(epsilon),
+      sensitivity(sensitivity) {}
+
 std::string QueryKindName(const QueryRequest& request) {
   return request.op == nullptr ? std::string("unknown")
                                : request.op->KindName();
@@ -140,11 +166,16 @@ StatusOr<double> ReleaseEngine::ResolveSensitivity(
       cache_hit);
 }
 
-void ReleaseEngine::Execute(const QueryRequest& request,
-                            const Histogram& hist, Random rng,
-                            QueryResponse* response) const {
-  const QueryExecContext ctx{policy_, data_, hist, request.epsilon,
-                             response->sensitivity};
+void ReleaseEngine::Execute(
+    const QueryRequest& request, const Histogram& hist,
+    std::shared_ptr<const std::vector<double>> cumulative, Random rng,
+    QueryResponse* response) const {
+  const QueryExecContext ctx{policy_,
+                             data_,
+                             hist,
+                             request.epsilon,
+                             response->sensitivity,
+                             std::move(cumulative)};
   StatusOr<std::vector<double>> released =
       request.op->Execute(ctx, std::move(rng));
   if (!released.ok()) {
@@ -160,6 +191,8 @@ struct ReleaseEngine::Work {
   /// h(D) or empty_hist_: stable for the engine's lifetime and
   /// read-only during the drain.
   const Histogram* hist = nullptr;
+  /// S_T of h(D) on a 1-D domain, else null.
+  std::shared_ptr<const std::vector<double>> cumulative;
   /// Stable handle pointers resolved at admission (under serve_mu_), so
   /// the drain threads never touch the kind-metrics map.
   obs::Histogram* latency_us = nullptr;
@@ -443,7 +476,8 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
   }
 
   // --- h(D) (sequential): the first admitted query that reads the
-  // histogram builds the engine's memoized h(D); every later query and
+  // histogram builds the engine's memoized h(D), and on a 1-D domain its
+  // prefix sums S_T with it; every later query and
   // batch shares it, so steady-state batches scan nothing at all. Runs
   // after charging so only charged queries can trigger a scan, and
   // before stream assignment so a (theoretically) failed scan refuses
@@ -467,6 +501,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
         continue;
       }
       hist_ = std::make_shared<const Histogram>(std::move(*counted));
+      cumulative_ = PrefixSumsOf(policy_, *hist_);
     }
     hists[i] = hist_.get();
   }
@@ -481,8 +516,9 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
   for (size_t i = 0; i < requests.size(); ++i) {
     if (!responses[i].status.ok()) continue;
     const KindMetrics& km = KindMetricsFor(QueryKindName(requests[i]));
-    work.push_back(Work{i, next_stream_++, hists[i], km.latency_us,
-                        km.queries_total});
+    work.push_back(Work{i, next_stream_++, hists[i],
+                        hists[i] == &empty_hist_ ? nullptr : cumulative_,
+                        km.latency_us, km.queries_total});
   }
 
   // --- Streaming: queries refused at admission complete right now, in
@@ -543,6 +579,7 @@ std::vector<QueryResponse> ReleaseEngine::ServeBatch(
       QueryResponse& response = (*s->responses)[item.index];
       const uint64_t exec_start_us = obs::MonotonicMicros();
       s->engine->Execute((*s->requests)[item.index], *item.hist,
+                         item.cumulative,
                          Random(s->engine->root_seed_).Fork(item.stream_id),
                          &response);
       const uint64_t exec_us = obs::MonotonicMicros() - exec_start_us;

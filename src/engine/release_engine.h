@@ -29,7 +29,8 @@
 //     the same h(D), and the dataset is immutable, so the engine counts
 //     it once (Dataset::CompleteHistogram), the first time an admitted
 //     query needs it, and shares it across all later queries and
-//     batches.
+//     batches. On a 1-D domain the same build also sums h(D) into the
+//     exact prefix sums S_T (Def 7.1), which the ordered ops read.
 //
 // The engine knows no query kind by name: every request carries a
 // QueryOp (engine/ops/query_op.h), and validation, sensitivity shape and
@@ -248,8 +249,10 @@ class ReleaseEngine {
                                       bool* cache_hit);
 
   /// Runs one admitted query with its own RNG; writes into `response`.
-  /// `hist` is h(D), or empty_hist_ for ops that do not read it.
+  /// `hist` is h(D), or empty_hist_ for ops that do not read it;
+  /// `cumulative` is cumulative_ alongside h(D), else null.
   void Execute(const QueryRequest& request, const Histogram& hist,
+               std::shared_ptr<const std::vector<double>> cumulative,
                Random rng, QueryResponse* response) const;
 
   Policy policy_;
@@ -261,6 +264,8 @@ class ReleaseEngine {
   /// it, then filled under serve_mu_ and read-only shared with the drain
   /// workers for the engine's lifetime (the dataset is immutable).
   std::shared_ptr<const Histogram> hist_;
+  /// S_T of hist_, built with it on a 1-D domain; null otherwise.
+  std::shared_ptr<const std::vector<double>> cumulative_;
   /// Handed to ops whose NeedsHistogram() is false (k-means):
   /// ctx.hist must bind to something, and an empty histogram makes an
   /// accidental read fail loudly rather than silently see stale counts.

@@ -11,12 +11,20 @@ StatusOr<OrderedMechanismResult> OrderedMechanism(const Histogram& data,
                                                   double epsilon, Random& rng,
                                                   bool constrained_inference,
                                                   double sensitivity_override) {
+  return OrderedMechanism(data.CumulativeSums(), policy, epsilon, rng,
+                          constrained_inference, sensitivity_override);
+}
+
+StatusOr<OrderedMechanismResult> OrderedMechanism(
+    const std::vector<double>& cumulative, const Policy& policy,
+    double epsilon, Random& rng, bool constrained_inference,
+    double sensitivity_override) {
   if (policy.has_constraints() && sensitivity_override < 0.0) {
     return Status::Unimplemented(
         "the ordered mechanism handles unconstrained policies only unless "
         "the caller supplies a constrained S(S_T, P) override");
   }
-  if (data.size() != policy.domain().size()) {
+  if (cumulative.size() != policy.domain().size()) {
     return Status::InvalidArgument("histogram size does not match domain");
   }
   double sensitivity = sensitivity_override;
@@ -24,7 +32,6 @@ StatusOr<OrderedMechanismResult> OrderedMechanism(const Histogram& data,
     BLOWFISH_ASSIGN_OR_RETURN(sensitivity,
                               CumulativeHistogramSensitivity(policy));
   }
-  std::vector<double> cumulative = data.CumulativeSums();
   BLOWFISH_ASSIGN_OR_RETURN(
       std::vector<double> noisy,
       LaplaceRelease(cumulative, sensitivity, epsilon, rng));
@@ -32,7 +39,8 @@ StatusOr<OrderedMechanismResult> OrderedMechanism(const Histogram& data,
   OrderedMechanismResult result;
   result.sensitivity = sensitivity;
   result.noisy_cumulative = noisy;
-  const double total = data.Total();  // public under indistinguishability
+  // The dataset size, public under indistinguishability.
+  const double total = cumulative.empty() ? 0.0 : cumulative.back();
   if (constrained_inference) {
     BLOWFISH_ASSIGN_OR_RETURN(std::vector<double> iso,
                               IsotonicRegression(noisy));

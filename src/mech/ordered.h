@@ -58,6 +58,13 @@ StatusOr<OrderedMechanismResult> OrderedMechanism(
     const Histogram& data, const Policy& policy, double epsilon, Random& rng,
     bool constrained_inference = true, double sensitivity_override = -1.0);
 
+/// The same release over the exact prefix sums S_T of the data (the memo
+/// the engine keeps); the public total is its last entry.
+StatusOr<OrderedMechanismResult> OrderedMechanism(
+    const std::vector<double>& cumulative, const Policy& policy,
+    double epsilon, Random& rng, bool constrained_inference = true,
+    double sensitivity_override = -1.0);
+
 /// Analytic per-range-query error bound of Thm 7.1 for the line graph:
 /// 4/eps^2 (two cumulative counts, each Var(Lap(1/eps)) = 2/eps^2).
 double OrderedMechanismRangeErrorBound(double epsilon);

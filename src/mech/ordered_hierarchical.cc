@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
+#include <limits>
+#include <memory>
+#include <utility>
 
 #include "core/secret_graph.h"
 
@@ -88,6 +90,15 @@ StatusOr<size_t> OrderedHierarchicalMechanism::ResolveThetaSteps(
 StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
     const Histogram& data, const Policy& policy, double epsilon,
     const OrderedHierarchicalOptions& opts, Random& rng) {
+  return Release(
+      std::make_shared<const std::vector<double>>(data.CumulativeSums()),
+      policy, epsilon, opts, rng);
+}
+
+StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
+    std::shared_ptr<const std::vector<double>> cumulative,
+    const Policy& policy, double epsilon,
+    const OrderedHierarchicalOptions& opts, Random& rng) {
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
   }
@@ -98,15 +109,19 @@ StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
     return Status::Unimplemented(
         "the ordered hierarchical mechanism handles unconstrained policies");
   }
-  if (data.size() != policy.domain().size()) {
+  if (cumulative->size() != policy.domain().size()) {
     return Status::InvalidArgument("histogram size does not match domain");
   }
   BLOWFISH_ASSIGN_OR_RETURN(size_t theta, ThetaSteps(policy));
-  const size_t n = data.size();
-  const size_t k = (n + theta - 1) / theta;  // number of blocks / S nodes
+  if (theta > 1 && opts.fanout < 2) {
+    return Status::InvalidArgument("fanout must be at least 2");
+  }
+  const size_t n = cumulative->size();
 
   // Budget split (Eqn 15 by default). theta = 1 -> all budget to S nodes;
-  // theta = |T| -> all budget to the single H tree.
+  // theta = |T| -> all budget to the single H tree. In between, both
+  // node classes publish counts, and a class without budget would
+  // publish them exactly.
   OHErrorModel model = OHErrorModel::Compute(n, theta, opts.fanout);
   double frac = opts.eps_s_fraction >= 0.0 ? opts.eps_s_fraction
                                            : model.OptimalSFraction();
@@ -115,39 +130,34 @@ StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
   if (theta >= n) frac = 0.0;
   const double eps_s = frac * epsilon;
   const double eps_h = epsilon - eps_s;
-
-  // True prefix counts at block boundaries.
-  std::vector<double> cumulative = data.CumulativeSums();
-  std::vector<double> s_nodes(k);
-  for (size_t l = 0; l < k; ++l) {
-    size_t end = std::min((l + 1) * theta, n);
-    s_nodes[l] = cumulative[end - 1];
+  if (theta > 1 && theta < n && !(eps_s > 0.0 && eps_h > 0.0)) {
+    return Status::InvalidArgument(
+        "eps_s_fraction must leave both S and H nodes a positive budget");
   }
 
-  // Block subtrees (only needed when blocks are wider than one bucket).
-  std::vector<IntervalTree> h_trees;
-  size_t tree_height = 0;
+  OrderedHierarchicalMechanism m;
+  m.domain_size_ = n;
+  m.theta_steps_ = theta;
+  m.fanout_ = opts.fanout;
+  m.num_blocks_ = (n + theta - 1) / theta;
   if (theta > 1) {
-    h_trees.reserve(k);
-    for (size_t l = 0; l < k; ++l) {
-      size_t lo = l * theta;
-      size_t hi = std::min(lo + theta, n);
-      BLOWFISH_ASSIGN_OR_RETURN(IntervalTree tree,
-                                IntervalTree::Build(hi - lo, opts.fanout));
-      std::vector<double> leaves(data.counts().begin() + lo,
-                                 data.counts().begin() + hi);
-      tree.PopulateFromLeaves(leaves);
-      tree_height = std::max(tree_height, tree.height());
-      h_trees.push_back(std::move(tree));
+    // A full block's subtree: height h = ceil(log_f theta), and level v
+    // holds ceil(theta / f^(h-v)) nodes.
+    size_t span = 1;
+    while (span < theta) {
+      span *= opts.fanout;
+      ++m.height_;
+    }
+    for (; span > 0; span /= opts.fanout) {
+      m.stride_ += (theta + span - 1) / span;
     }
   }
-
-  // --- Perturb ---
   // S nodes l >= 2 (1-indexed): Lap(1/eps_S); sensitivity 1 across the
   // S-node sequence (a move of <= theta crosses at most one boundary).
-  if (k > 1 && eps_s > 0.0) {
-    for (size_t l = 1; l < k; ++l) s_nodes[l] += rng.Laplace(1.0 / eps_s);
-  }
+  // When theta = 1, s_1 is released directly with the same Lap(1/eps),
+  // unless |T| = 1: then no S node has budget, and none needs it, since
+  // a one-value domain has no secret pairs.
+  m.s_scale_ = eps_s > 0.0 ? 1.0 / eps_s : 0.0;
   // H nodes: Lap(2(h+1)/eps_H); H_1 (which owns s_1 as its root) enjoys
   // the combined budget Lap(2(h+1)/(eps_S + eps_H)). The paper writes the
   // scale as 2h/eps_H with h = ceil(log_f theta); we charge the *exact*
@@ -155,35 +165,92 @@ StatusOr<OrderedHierarchicalMechanism> OrderedHierarchicalMechanism::Release(
   // full paths (2(h+1) nodes) and the looser constant would overspend the
   // budget (verified by the brute-force accounting in
   // tests/privacy_property_test.cc).
-  if (theta > 1) {
-    const double path = static_cast<double>(tree_height + 1);
-    for (size_t l = 0; l < h_trees.size(); ++l) {
-      double tree_eps = (l == 0) ? eps_s + eps_h : eps_h;
-      if (!(tree_eps > 0.0)) {
-        return Status::Internal("block subtree received no budget");
-      }
-      double scale = 2.0 * path / tree_eps;
-      for (auto& level : h_trees[l].levels) {
-        for (double& v : level) v += rng.Laplace(scale);
-      }
-    }
-    // s_1 is H_1's (noisy) root.
-    s_nodes[0] = h_trees[0].levels[0][0];
-  } else if (eps_s > 0.0) {
-    // theta == 1: s_1 is released directly with the full budget.
-    s_nodes[0] += rng.Laplace(1.0 / epsilon);
-  }
-
+  const double path = static_cast<double>(m.height_ + 1);
+  m.h_scale_ = eps_h > 0.0 ? 2.0 * path / eps_h : 0.0;
+  m.h1_scale_ = 2.0 * path / (eps_s + eps_h);
+  m.key_ = rng.engine()();
+  m.cumulative_ = std::move(cumulative);
   if (opts.consistency) {
-    for (auto& tree : h_trees) tree = TreeConsistency(tree);
-    if (!h_trees.empty()) s_nodes[0] = h_trees[0].levels[0][0];
-    BLOWFISH_ASSIGN_OR_RETURN(std::vector<double> iso,
-                              IsotonicRegression(s_nodes));
-    s_nodes = std::move(iso);
+    BLOWFISH_RETURN_IF_ERROR(m.MaterializeConsistent());
   }
+  return m;
+}
 
-  return OrderedHierarchicalMechanism(n, theta, std::move(s_nodes),
-                                      std::move(h_trees));
+double OrderedHierarchicalMechanism::ExactCount(size_t a, size_t b) const {
+  const std::vector<double>& s = *cumulative_;
+  return s[b - 1] - (a > 0 ? s[a - 1] : 0.0);
+}
+
+double OrderedHierarchicalMechanism::HNode(size_t block, size_t node,
+                                           size_t lo, size_t hi) const {
+  const size_t start = block * theta_steps_;
+  const uint64_t counter = num_blocks_ + block * stride_ + node;
+  return ExactCount(start + lo, start + hi) +
+         KeyedLaplace(key_, counter, block == 0 ? h1_scale_ : h_scale_);
+}
+
+double OrderedHierarchicalMechanism::SNode(size_t l) const {
+  if (!s_nodes_.empty()) return s_nodes_[l];
+  // s_1 is H_1's root once blocks are wider than one bucket.
+  if (l == 0 && theta_steps_ > 1) return HNode(0, 0, 0, theta_steps_);
+  const size_t end = std::min((l + 1) * theta_steps_, domain_size_);
+  const double exact = ExactCount(0, end);
+  return s_scale_ > 0.0 ? exact + KeyedLaplace(key_, l, s_scale_) : exact;
+}
+
+double OrderedHierarchicalMechanism::BlockPrefix(size_t block,
+                                                 size_t len) const {
+  if (!h_trees_.empty()) return h_trees_[block].PrefixSum(len);
+  const size_t leaves =
+      std::min(theta_steps_, domain_size_ - block * theta_steps_);
+  size_t span = 1;  // leaves under one node of the current level
+  while (span < leaves) span *= fanout_;
+  // Descend from the root, taking fully covered nodes left to right and
+  // stepping into the first child of a node that sticks out past len —
+  // the order IntervalTree::PrefixSum sums in, so a lazy release answers
+  // exactly as the materialized tree would.
+  double total = 0.0;
+  size_t level_offset = 0;  // nodes on the levels above this one
+  size_t index = 0;
+  while (true) {
+    const size_t lo = index * span;
+    const size_t hi = std::min(lo + span, leaves);
+    if (hi <= len) {
+      total += HNode(block, level_offset + index, lo, hi);
+      if (hi == len) return total;
+      ++index;
+      continue;
+    }
+    if (span == 1) return total;  // a leaf sticks out: nothing left
+    level_offset += (leaves + span - 1) / span;
+    span /= fanout_;
+    index *= fanout_;
+  }
+}
+
+Status OrderedHierarchicalMechanism::MaterializeConsistent() {
+  if (theta_steps_ > 1) {
+    h_trees_.reserve(num_blocks_);
+    for (size_t b = 0; b < num_blocks_; ++b) {
+      const size_t leaves =
+          std::min(theta_steps_, domain_size_ - b * theta_steps_);
+      BLOWFISH_ASSIGN_OR_RETURN(IntervalTree tree,
+                                IntervalTree::Build(leaves, fanout_));
+      size_t node = 0;
+      for (size_t v = 0; v < tree.levels.size(); ++v) {
+        for (size_t i = 0; i < tree.levels[v].size(); ++i, ++node) {
+          auto [lo, hi] = tree.NodeRange(v, i);
+          tree.levels[v][i] = HNode(b, node, lo, hi);
+        }
+      }
+      h_trees_.push_back(TreeConsistency(tree));
+    }
+  }
+  std::vector<double> s_nodes(num_blocks_);
+  for (size_t l = 0; l < num_blocks_; ++l) s_nodes[l] = SNode(l);
+  if (!h_trees_.empty()) s_nodes[0] = h_trees_[0].levels[0][0];
+  BLOWFISH_ASSIGN_OR_RETURN(s_nodes_, IsotonicRegression(s_nodes));
+  return Status::OK();
 }
 
 StatusOr<double> OrderedHierarchicalMechanism::CumulativeCount(
@@ -195,10 +262,10 @@ StatusOr<double> OrderedHierarchicalMechanism::CumulativeCount(
   const size_t full_blocks = len / theta_steps_;
   const size_t remainder = len % theta_steps_;
   double total = 0.0;
-  if (full_blocks >= 1) total += s_nodes_[full_blocks - 1];
+  if (full_blocks >= 1) total += SNode(full_blocks - 1);
   if (remainder > 0) {
     // Intra-block prefix q[x_{l*theta+1}, x_j] from block subtree l.
-    total += h_trees_[full_blocks].PrefixSum(remainder);
+    total += BlockPrefix(full_blocks, remainder);
   }
   return total;
 }
@@ -214,25 +281,6 @@ StatusOr<double> OrderedHierarchicalMechanism::RangeQuery(size_t lo,
     BLOWFISH_ASSIGN_OR_RETURN(lower, CumulativeCount(lo - 1));
   }
   return upper - lower;
-}
-
-size_t OrderedHierarchicalMechanism::subtree_height() const {
-  size_t h = 0;
-  for (const IntervalTree& t : h_trees_) h = std::max(h, t.height());
-  return h;
-}
-
-std::string OrderedHierarchicalMechanism::DescribeStructure() const {
-  std::string out;
-  out += "OH structure: |T|=" + std::to_string(domain_size_) +
-         ", theta=" + std::to_string(theta_steps_) +
-         ", S nodes=" + std::to_string(s_nodes_.size()) +
-         ", H subtrees=" + std::to_string(h_trees_.size()) +
-         ", subtree height=" + std::to_string(subtree_height()) + "\n";
-  out += "  s_1 (root of H_1) -> s_2 -> ... -> s_k, each s_l = q[x_1, "
-         "x_{l*theta}];\n";
-  out += "  block l answers intra-block prefixes via its fan-out tree.\n";
-  return out;
 }
 
 }  // namespace blowfish

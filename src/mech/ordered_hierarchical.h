@@ -17,10 +17,27 @@
 // Ordered Mechanism; theta = |T| to the classical hierarchical mechanism.
 // Eqn (14) gives the expected range-query error c1/eps_S^2 + c2/eps_H^2
 // and Eqn (15) the optimal split eps_S* = c1^(1/3)/(c1^(1/3)+c2^(1/3)).
+//
+// Noise is drawn per node on read, as in mech/quadtree.h. A release
+// keeps the exact prefix sums S_T, the per-class noise scales and one
+// 64-bit key taken from the caller's Random. A node's released value is
+// its exact count (a difference of two prefix sums) plus
+// KeyedLaplace(key, node's counter, scale), computed when an answer
+// reads the node. Counters: S node l (0-indexed) uses l; block b's H
+// node i at level v uses k + b * stride + (nodes above level v in
+// block b's tree) + i, with stride the node count of a full block's
+// tree, so no two nodes of a release share a draw. Every node still
+// carries its own independent draw, fixed by the key, so the released
+// distribution is that of noising the whole structure up front, and a
+// cumulative count costs one S node plus one block's O(f log_f theta)
+// greedy descent instead of O(|T|) draws. With consistency on, the
+// post-processing needs every node, so Release materializes them all
+// from the same keyed draws.
 
 #ifndef BLOWFISH_MECH_ORDERED_HIERARCHICAL_H_
 #define BLOWFISH_MECH_ORDERED_HIERARCHICAL_H_
 
+#include <memory>
 #include <vector>
 
 #include "core/policy.h"
@@ -34,7 +51,8 @@ namespace blowfish {
 struct OrderedHierarchicalOptions {
   size_t fanout = 16;
   /// Fraction of eps given to the S nodes; negative means "use the Eqn 15
-  /// optimum".
+  /// optimum". When 1 < theta < |T| both node classes need budget, so a
+  /// fraction of 0 or 1 is refused.
   double eps_s_fraction = -1.0;
   /// Isotonic regression over the S-node prefix sequence plus Hay
   /// consistency inside each H subtree (post-processing only).
@@ -66,6 +84,14 @@ class OrderedHierarchicalMechanism {
       const Histogram& data, const Policy& policy, double epsilon,
       const OrderedHierarchicalOptions& opts, Random& rng);
 
+  /// The same release over the exact prefix sums S_T of the data (the
+  /// memo the engine keeps), which the release shares instead of
+  /// copying.
+  static StatusOr<OrderedHierarchicalMechanism> Release(
+      std::shared_ptr<const std::vector<double>> cumulative,
+      const Policy& policy, double epsilon,
+      const OrderedHierarchicalOptions& opts, Random& rng);
+
   /// Resolves theta in index units from the policy's secret graph: 1
   /// for a line graph, |T| for the full graph, floor(theta/scale) for
   /// G^{d,theta}. Unimplemented for any other graph kind — callers
@@ -81,27 +107,42 @@ class OrderedHierarchicalMechanism {
   /// Noisy range count over buckets [lo, hi] inclusive.
   StatusOr<double> RangeQuery(size_t lo, size_t hi) const;
 
-  /// Structure accessors (Fig 2(a)).
-  size_t num_s_nodes() const { return s_nodes_.size(); }
+  /// Structure (Fig 2(a)): k S nodes; blocks of theta buckets, each with
+  /// an H subtree of height subtree_height() (0 when theta = 1).
+  size_t num_s_nodes() const { return num_blocks_; }
   size_t theta_steps() const { return theta_steps_; }
-  size_t subtree_height() const;
-  const std::vector<double>& s_nodes() const { return s_nodes_; }
-  const std::vector<IntervalTree>& h_trees() const { return h_trees_; }
-
-  /// ASCII rendering of the hybrid structure for documentation/debugging.
-  std::string DescribeStructure() const;
+  size_t subtree_height() const { return height_; }
 
  private:
-  OrderedHierarchicalMechanism(size_t domain_size, size_t theta_steps,
-                               std::vector<double> s_nodes,
-                               std::vector<IntervalTree> h_trees)
-      : domain_size_(domain_size), theta_steps_(theta_steps),
-        s_nodes_(std::move(s_nodes)), h_trees_(std::move(h_trees)) {}
+  OrderedHierarchicalMechanism() = default;
 
-  size_t domain_size_;
-  size_t theta_steps_;                  // theta in index units
-  std::vector<double> s_nodes_;         // s_1..s_k (prefix counts)
-  std::vector<IntervalTree> h_trees_;   // one per block; empty if theta=1
+  /// Exact count of buckets [a, b): S_T[b-1] - S_T[a-1].
+  double ExactCount(size_t a, size_t b) const;
+  /// Released value of the H node at level-order position `node` of
+  /// block `block`'s tree, covering the block's buckets [lo, hi).
+  double HNode(size_t block, size_t node, size_t lo, size_t hi) const;
+  /// Released s_{l+1}.
+  double SNode(size_t l) const;
+  /// Released intra-block prefix over the first `len` buckets of block
+  /// `block`: IntervalTree::PrefixSum's greedy descent, node for node.
+  double BlockPrefix(size_t block, size_t len) const;
+  /// consistency=1: draws every node, then post-processes them.
+  Status MaterializeConsistent();
+
+  size_t domain_size_ = 0;
+  size_t theta_steps_ = 0;  // theta in index units
+  size_t fanout_ = 0;
+  size_t num_blocks_ = 0;   // k = ceil(|T| / theta)
+  size_t height_ = 0;       // a full block's H subtree height
+  size_t stride_ = 0;       // a full block's H subtree node count
+  double s_scale_ = 0.0;    // S nodes (all of them when theta = 1)
+  double h_scale_ = 0.0;    // H nodes of blocks 2..k
+  double h1_scale_ = 0.0;   // H_1, which owns s_1 as its root
+  uint64_t key_ = 0;        // keys the per-node noise draws
+  std::shared_ptr<const std::vector<double>> cumulative_;  // exact S_T
+  /// consistency=1 only: every node, drawn and post-processed.
+  std::vector<double> s_nodes_;
+  std::vector<IntervalTree> h_trees_;
 };
 
 }  // namespace blowfish

@@ -1,88 +1,32 @@
 #include "mech/wavelet.h"
 
-#include <cassert>
-#include <cmath>
+#include <utility>
 
 namespace blowfish {
-
-namespace {
-
-size_t NextPowerOfTwo(size_t n) {
-  size_t p = 1;
-  while (p < n) p *= 2;
-  return p;
-}
-
-}  // namespace
-
-std::vector<double> HaarDecompose(const std::vector<double>& values) {
-  const size_t n = values.size();
-  assert(n > 0 && (n & (n - 1)) == 0);
-  // Work on averages level by level: averages[i] at the current level.
-  std::vector<double> averages = values;
-  // details in breadth-first order, built bottom-up then reversed.
-  std::vector<std::vector<double>> detail_levels;
-  size_t width = n;
-  while (width > 1) {
-    width /= 2;
-    std::vector<double> next(width);
-    std::vector<double> details(width);
-    for (size_t i = 0; i < width; ++i) {
-      double left = averages[2 * i];
-      double right = averages[2 * i + 1];
-      next[i] = (left + right) / 2.0;
-      details[i] = (left - right) / 2.0;
-    }
-    detail_levels.push_back(std::move(details));
-    averages = std::move(next);
-  }
-  std::vector<double> out;
-  out.reserve(n);
-  out.push_back(averages[0]);  // overall average
-  for (size_t l = detail_levels.size(); l-- > 0;) {
-    out.insert(out.end(), detail_levels[l].begin(), detail_levels[l].end());
-  }
-  return out;
-}
-
-std::vector<double> HaarReconstruct(
-    const std::vector<double>& coefficients) {
-  const size_t n = coefficients.size();
-  assert(n > 0 && (n & (n - 1)) == 0);
-  std::vector<double> averages = {coefficients[0]};
-  size_t offset = 1;
-  while (averages.size() < n) {
-    size_t width = averages.size();
-    std::vector<double> next(2 * width);
-    for (size_t i = 0; i < width; ++i) {
-      double d = coefficients[offset + i];
-      next[2 * i] = averages[i] + d;
-      next[2 * i + 1] = averages[i] - d;
-    }
-    offset += width;
-    averages = std::move(next);
-  }
-  return averages;
-}
 
 StatusOr<WaveletMechanism> WaveletMechanism::Release(const Histogram& data,
                                                      double epsilon,
                                                      Random& rng) {
+  return Release(
+      std::make_shared<const std::vector<double>>(data.CumulativeSums()),
+      epsilon, rng);
+}
+
+StatusOr<WaveletMechanism> WaveletMechanism::Release(
+    std::shared_ptr<const std::vector<double>> cumulative, double epsilon,
+    Random& rng) {
   if (!(epsilon > 0.0)) {
     return Status::InvalidArgument("epsilon must be positive");
   }
-  if (data.size() == 0) {
+  if (cumulative->empty()) {
     return Status::InvalidArgument("empty histogram");
   }
-  const size_t n = data.size();
-  const size_t padded = NextPowerOfTwo(n);
-  std::vector<double> values = data.counts();
-  values.resize(padded, 0.0);
-
-  std::vector<double> coefficients = HaarDecompose(values);
-  const size_t m = static_cast<size_t>(std::llround(
-      std::log2(static_cast<double>(padded))));  // tree height
-
+  size_t padded = 1;
+  size_t m = 0;  // tree height
+  while (padded < cumulative->size()) {
+    padded *= 2;
+    ++m;
+  }
   // A one-tuple move touches the root average (sensitivity 2/padded: both
   // the removal and the insertion shift it, worst case both in the same
   // direction is impossible — they cancel — but a conservative per-path
@@ -93,50 +37,43 @@ StatusOr<WaveletMechanism> WaveletMechanism::Release(const Histogram& data,
   // slots; each coefficient then gets noise calibrated to its own
   // sensitivity.
   const double eps_per_slot = epsilon / (2.0 * static_cast<double>(m + 1));
+  return WaveletMechanism(padded, m, eps_per_slot, rng.engine()(),
+                          std::move(cumulative));
+}
 
-  // coefficients[0]: average; per-path change 1/padded.
-  coefficients[0] +=
-      rng.Laplace((1.0 / static_cast<double>(padded)) / eps_per_slot);
-  // Detail levels: level l has 2^l coefficients starting at offset 2^l.
-  size_t offset = 1;
-  for (size_t l = 0; l < m; ++l) {
-    const size_t count = size_t{1} << l;
+double WaveletMechanism::Prefix(size_t j) const {
+  // The average: per-path change 1/padded.
+  const double n0 = KeyedLaplace(
+      key_, 0, (1.0 / static_cast<double>(padded_size_)) / eps_per_slot_);
+  double noise = static_cast<double>(j + 1) * n0;
+  for (size_t l = 0; l < height_; ++l) {
+    const size_t width = padded_size_ >> l;  // buckets under a level-l node
+    const size_t half = width / 2;
+    const size_t t = j % width + 1;  // buckets of v(l, j) up to j
+    if (t == width) continue;        // wholly covered: the detail cancels
+    const double weight = static_cast<double>(t <= half ? t : width - t);
     const double sensitivity =
-        1.0 / static_cast<double>(size_t{1} << (m - l));  // 2^-(m-l)
-    const double scale = sensitivity / eps_per_slot;
-    for (size_t i = 0; i < count; ++i) {
-      coefficients[offset + i] += rng.Laplace(scale);
-    }
-    offset += count;
+        1.0 / static_cast<double>(size_t{1} << (height_ - l));  // 2^-(m-l)
+    const uint64_t node = (uint64_t{1} << l) + j / width;
+    noise += weight * KeyedLaplace(key_, node, sensitivity / eps_per_slot_);
   }
-
-  std::vector<double> reconstructed = HaarReconstruct(coefficients);
-  reconstructed.resize(padded);
-  return WaveletMechanism(n, padded, m, std::move(reconstructed));
+  return (*cumulative_)[j] + noise;
 }
 
 StatusOr<double> WaveletMechanism::RangeQuery(size_t lo, size_t hi) const {
-  if (lo > hi || hi >= domain_size_) {
+  if (lo > hi || hi >= domain_size()) {
     return Status::OutOfRange("range query out of bounds");
   }
-  double upper = prefix_[hi];
-  double lower = (lo == 0) ? 0.0 : prefix_[lo - 1];
+  double upper = Prefix(hi);
+  double lower = (lo == 0) ? 0.0 : Prefix(lo - 1);
   return upper - lower;
 }
 
 StatusOr<double> WaveletMechanism::CumulativeCount(size_t j) const {
-  if (j >= domain_size_) {
+  if (j >= domain_size()) {
     return Status::OutOfRange("cumulative index out of bounds");
   }
-  return prefix_[j];
-}
-
-std::vector<double> WaveletMechanism::NoisyHistogram() const {
-  std::vector<double> out(domain_size_);
-  for (size_t i = 0; i < domain_size_; ++i) {
-    out[i] = prefix_[i] - (i == 0 ? 0.0 : prefix_[i - 1]);
-  }
-  return out;
+  return Prefix(j);
 }
 
 }  // namespace blowfish

@@ -259,5 +259,35 @@ TEST(OrderedOpsE2ETest, HierRangeRefusesUnsupportedGraphsPreCharge) {
   EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.25);
 }
 
+TEST(OrderedOpsE2ETest, HierRangeRefusesDegenerateSplitPreCharge) {
+  // Line(64) under G^{d,8}: 1 < theta < |T|, so both node classes
+  // publish counts. A split of 0 would publish the S nodes (whole-block
+  // prefixes) without noise, and a split of 1 the H nodes; both are
+  // refused when the request is built, before the engine sees it, so
+  // nothing is charged.
+  auto domain = LineDomain(64);
+  Dataset data = MakeData(domain, 400, 23);
+  Policy policy = Policy::DistanceThreshold(domain, 8.0).value();
+  auto engine = MakeEngine(policy, data);
+  for (const char* frac : {"0", "1", "-0.5", "1.5"}) {
+    auto request = MakeQueryRequest(
+        "hier_range", 0.25,
+        {{"lo", "0"}, {"hi", "15"}, {"eps_s_fraction", frac}});
+    EXPECT_EQ(request.status().code(), StatusCode::kInvalidArgument) << frac;
+    EXPECT_FALSE(ParseBatchRequests(std::string("hier_range eps=0.25 lo=0 "
+                                                 "hi=15 eps_s_fraction=") +
+                                    frac + "\n")
+                     .ok())
+        << frac;
+  }
+  EXPECT_EQ(engine->accountant().Spent(""), 0.0);
+  // A split inside (0, 1) serves, and is the only spend.
+  auto responses = engine->ServeBatch(
+      {Request("hier_range", 0.25,
+               {{"lo", "0"}, {"hi", "15"}, {"eps_s_fraction", "0.5"}})});
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.ToString();
+  EXPECT_DOUBLE_EQ(engine->accountant().Spent(""), 0.25);
+}
+
 }  // namespace
 }  // namespace blowfish

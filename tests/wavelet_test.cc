@@ -2,14 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/stats.h"
 
 namespace blowfish {
 namespace {
 
-// --- Haar transform ---
+// --- Haar transform: the reference the lazy release is checked against ---
+
+/// Unnormalized Haar decomposition of a power-of-two-length vector.
+/// coefficients[0] is the overall average; detail coefficients follow in
+/// breadth-first order (coefficients[1] = root detail, etc.).
+std::vector<double> HaarDecompose(const std::vector<double>& values) {
+  const size_t n = values.size();
+  assert(n > 0 && (n & (n - 1)) == 0);
+  std::vector<double> averages = values;
+  // Details level by level, built bottom-up, emitted top-down.
+  std::vector<std::vector<double>> detail_levels;
+  size_t width = n;
+  while (width > 1) {
+    width /= 2;
+    std::vector<double> next(width);
+    std::vector<double> details(width);
+    for (size_t i = 0; i < width; ++i) {
+      const double left = averages[2 * i];
+      const double right = averages[2 * i + 1];
+      next[i] = (left + right) / 2.0;
+      details[i] = (left - right) / 2.0;
+    }
+    detail_levels.push_back(std::move(details));
+    averages = std::move(next);
+  }
+  std::vector<double> out = {averages[0]};
+  for (size_t l = detail_levels.size(); l-- > 0;) {
+    out.insert(out.end(), detail_levels[l].begin(), detail_levels[l].end());
+  }
+  return out;
+}
+
+/// Inverse of HaarDecompose.
+std::vector<double> HaarReconstruct(const std::vector<double>& coefficients) {
+  const size_t n = coefficients.size();
+  assert(n > 0 && (n & (n - 1)) == 0);
+  std::vector<double> averages = {coefficients[0]};
+  size_t offset = 1;
+  while (averages.size() < n) {
+    const size_t width = averages.size();
+    std::vector<double> next(2 * width);
+    for (size_t i = 0; i < width; ++i) {
+      const double d = coefficients[offset + i];
+      next[2 * i] = averages[i] + d;
+      next[2 * i + 1] = averages[i] - d;
+    }
+    offset += width;
+    averages = std::move(next);
+  }
+  return averages;
+}
 
 TEST(HaarTest, RoundTripPowerOfTwo) {
   Random rng(1);
@@ -120,17 +174,68 @@ TEST(WaveletMechanismTest, RangeQueriesUnbiased) {
   EXPECT_NEAR(Mean(errors), 0.0, 4.0);
 }
 
-TEST(WaveletMechanismTest, NoisyHistogramMatchesRangeQueries) {
-  Random rng(6);
-  Histogram data(64);
-  data.Add(10, 100);
-  auto m = WaveletMechanism::Release(data, 1.0, rng).value();
-  std::vector<double> hist = m.NoisyHistogram();
-  ASSERT_EQ(hist.size(), 64u);
-  double direct = m.RangeQuery(5, 20).value();
-  double summed = 0.0;
-  for (size_t i = 5; i <= 20; ++i) summed += hist[i];
-  EXPECT_NEAR(direct, summed, 1e-9);
+// The lazy release against the materialized one it replaces: decompose
+// the padded histogram, add KeyedLaplace(key, i, scale_i) to coefficient
+// i (its breadth-first index, so every coefficient has its own counter),
+// reconstruct, and prefix-sum. The two differ only by floating-point
+// rounding in the transform.
+std::vector<double> ReferencePrefixes(const Histogram& data, double epsilon,
+                                      uint64_t key) {
+  size_t padded = 1, m = 0;
+  while (padded < data.size()) {
+    padded *= 2;
+    ++m;
+  }
+  std::vector<double> values = data.counts();
+  values.resize(padded, 0.0);
+  std::vector<double> coef = HaarDecompose(values);
+  const double eps_slot = epsilon / (2.0 * static_cast<double>(m + 1));
+  coef[0] += KeyedLaplace(key, 0, (1.0 / static_cast<double>(padded)) /
+                                      eps_slot);
+  for (size_t l = 0; l < m; ++l) {
+    const double sens = 1.0 / static_cast<double>(size_t{1} << (m - l));
+    for (size_t i = size_t{1} << l; i < size_t{2} << l; ++i) {
+      coef[i] += KeyedLaplace(key, i, sens / eps_slot);
+    }
+  }
+  std::vector<double> prefix = HaarReconstruct(coef);
+  for (size_t i = 1; i < prefix.size(); ++i) prefix[i] += prefix[i - 1];
+  prefix.resize(data.size());
+  return prefix;
+}
+
+TEST(WaveletMechanismTest, LazyReleaseMatchesHaarReference) {
+  Random gen(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    const size_t n = static_cast<size_t>(
+        trial < 8 ? trial + 1 : gen.UniformInt(1, 3000));
+    Histogram data(n);
+    const int64_t tuples = gen.UniformInt(0, 20000);
+    for (int64_t i = 0; i < tuples; ++i) {
+      data.Add(static_cast<size_t>(
+          gen.UniformInt(0, static_cast<int64_t>(n) - 1)));
+    }
+    const double eps = gen.Uniform(0.05, 2.0);
+    Random rng(static_cast<uint64_t>(trial));
+    Random key_source = rng;  // the release takes its key as one draw
+    const uint64_t key = key_source.engine()();
+    auto m = WaveletMechanism::Release(data, eps, rng);
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    const std::vector<double> want = ReferencePrefixes(data, eps, key);
+    for (size_t j = 0; j < n; ++j) {
+      const double got = m->CumulativeCount(j).value();
+      ASSERT_NEAR(got, want[j], 1e-12 * std::max(1.0, std::fabs(want[j])))
+          << "trial " << trial << " n=" << n << " j=" << j;
+    }
+    const size_t a = static_cast<size_t>(
+        gen.UniformInt(0, static_cast<int64_t>(n) - 1));
+    const size_t b = static_cast<size_t>(
+        gen.UniformInt(0, static_cast<int64_t>(n) - 1));
+    const size_t lo = std::min(a, b), hi = std::max(a, b);
+    EXPECT_EQ(m->RangeQuery(lo, hi).value(),
+              m->CumulativeCount(hi).value() -
+                  (lo > 0 ? m->CumulativeCount(lo - 1).value() : 0.0));
+  }
 }
 
 // Privacy accounting: for any two histograms differing by one unit move,
